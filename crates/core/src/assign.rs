@@ -8,6 +8,11 @@
 //! centroids, inertia, and `SuffStats` downstream — at any worker count
 //! and in both [`kr_linalg::KernelMode`]s.
 //!
+//! Every kernel value is the scalar expression
+//! `‖x‖² + ‖c‖² − 2·ops::dot(x, c)` in every `KernelMode`: `KR_KERNEL=simd`
+//! speeds up the matrix kernels but does not reach assignment (routing
+//! the lane kernels in would need a per-mode exhaustive reference).
+//!
 //! ## Why pruning can be bitwise-safe
 //!
 //! The exhaustive scans pick the lowest-index argmin by comparing
@@ -29,6 +34,29 @@
 //! term for the expanded kernel `‖x‖² + ‖c‖² − 2⟨x,c⟩` (see
 //! `kernel_error_bound`) plus relative slack on every square root and
 //! bound decay, so a bound can under-prune but never mis-prune.
+//!
+//! ## Blocked and factored scans
+//!
+//! The full scans (the exhaustive reference, every session's first pass,
+//! the Hamerly rescan) compute a point's dots four centroids at a time
+//! through [`ops::dot_block`], and the Hamerly/Elkan evaluation against
+//! the previous label runs four points at a time through [`ops::dot4`].
+//! Each accumulator starts at `-0.0` and adds in ascending order, so
+//! every value is bitwise `ops::dot`: blocking changes speed, not bits.
+//!
+//! For a materialized grid with the Sum aggregator, `p ≥ 2` sets and
+//! Σh < ∏h, the full scans of the bounded modes run the **factored
+//! filter**:
+//! since `x·(θ_1[i] + θ_2[j]) = x·θ_1[i] + x·θ_2[j]`, a score
+//! `‖x‖² + ‖c‖² − 2·Σ_l x·θ_l[t_l]` for every grid row costs Σh dots
+//! instead of ∏h. `factored_error_bound` gives `E ≥ |score − kernel|`
+//! (covering the rounding of the materialized sums and both dot
+//! products). Only rows scoring within `2E` of the best score are
+//! evaluated, verbatim and in ascending order; every other row computes
+//! strictly above the exhaustive minimum, so the strict-`<` argmin, its
+//! ties and `dmin` are the exhaustive scan's. Rejected rows still bound
+//! Hamerly's runner-up and seed Elkan's lower bounds through
+//! `score − E`. EXPERIMENTS.md ("Blocked and factored scans") derives `E`.
 //!
 //! ## Bound structures
 //!
@@ -70,11 +98,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Telemetry only: the counters never influence results, and chunk
 /// scheduling may shift *when* a bound tightens, so they are not part of
 /// the bitwise contract (labels/centroids/inertia are).
+///
+/// Counting rule: every length-`m` dot product the engine computes counts
+/// once in `dists_computed` — a kernel evaluation, and under the
+/// factored Khatri-Rao filter each of a point's Σh protocentroid dots
+/// and each verbatim re-evaluation. `dists_computed · m` is therefore
+/// the multiply-add count of the assignment dots. Grid rows the filter
+/// rejects count in `dists_skipped`, like candidates a bound skips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// Exact kernel distance evaluations performed.
+    /// Length-`m` dot products computed: exact kernel evaluations plus
+    /// the factored filter's protocentroid dots.
     pub dists_computed: u64,
-    /// Candidate evaluations skipped under a certified bound.
+    /// Candidate evaluations skipped under a certified bound or rejected
+    /// by the factored filter.
     pub dists_skipped: u64,
     /// Bound refreshes (per-candidate tightenings, drift measurements,
     /// center–center matrix entries rebuilt).
@@ -167,6 +204,19 @@ fn kernel_error_bound(m: usize, max_x_sq: f64, max_c_sq: f64) -> f64 {
     let c = if max_c_sq > 0.0 { max_c_sq } else { 0.0 };
     let cross = (x * c).sqrt();
     (m as f64 + 64.0) * 2.0_f64.powi(-48) * (x + c + 2.0 * cross)
+}
+
+/// Additive bound `E` on `|factored score − kernel value|` for one point
+/// of a Sum-aggregated grid with `p` factor sets (see "Blocked and
+/// factored scans" in the module docs). `x_hi` bounds `‖x‖` and `b`
+/// bounds both every grid-row norm and `Σ_l max_a ‖θ_l[a]‖`. The derived
+/// bound is `u·(4.07(m+p)·x_hi·b + 2.01(‖x‖² + max‖c‖²))` with
+/// `u = 2⁻⁵³`; the `2⁻⁴⁸` headroom is ≥ 15× that, which also absorbs the
+/// roundings of the threshold and bound arithmetic built on `E`. The
+/// `MIN_POSITIVE` term covers subnormal products.
+fn factored_error_bound(m: usize, p: usize, xn: f64, max_c_sq: f64, x_hi: f64, b: f64) -> f64 {
+    let w = m as f64 + p as f64 + 64.0;
+    w * 2.0_f64.powi(-48) * (xn + max_c_sq + 2.0 * x_hi * b) + w * f64::MIN_POSITIVE
 }
 
 /// Lower bound on the **true** distance given a computed squared
@@ -428,10 +478,12 @@ impl AssignEngine {
     }
 
     /// Assignment against a materialized Khatri-Rao grid (the
-    /// time-efficient `KrKMeans` variant). Identical results to
-    /// [`AssignEngine::assign_dense`]; with the sum aggregator and the
-    /// Elkan structure, the center–center rebuild runs factored over
-    /// `sets` instead of over grid rows.
+    /// time-efficient `KrKMeans` variant): `grid` must be
+    /// `khatri_rao(sets, agg)`. Identical results to
+    /// [`AssignEngine::assign_dense`]. With the sum aggregator the full
+    /// scans run the factored filter over `sets` (module docs, "Blocked
+    /// and factored scans"), and the Elkan structure's center–center
+    /// rebuild runs factored over `sets` instead of over grid rows.
     pub fn assign_grid(
         &mut self,
         data: &Matrix,
@@ -473,6 +525,16 @@ impl AssignEngine {
             }
         }
         let err = kernel_error_bound(self.m, self.max_x_sq, max_c);
+        let filter = match (factors, agg) {
+            (Some(sets), Aggregator::Sum) => SumFilter::new(sets, k, self.m, max_c),
+            _ => None,
+        };
+        let scan = FullScan {
+            centroids,
+            c_norms: &c_norms,
+            err,
+            filter,
+        };
         if self.ready {
             let m = self.m;
             for c in 0..k {
@@ -481,14 +543,14 @@ impl AssignEngine {
             }
             self.stats.add(0, 0, k as u64);
             match mode {
-                BoundMode::Hamerly => self.hamerly_pass(data, centroids, &c_norms, err),
+                BoundMode::Hamerly => self.hamerly_pass(data, &scan),
                 BoundMode::Elkan => {
                     self.rebuild_cc(centroids, factors, agg);
-                    self.elkan_pass(data, centroids, &c_norms, err);
+                    self.elkan_pass(data, &scan);
                 }
             }
         } else {
-            self.init_dense_pass(data, centroids, &c_norms, err, mode);
+            self.init_dense_pass(data, &scan, mode);
             self.ready = true;
         }
         for c in 0..k {
@@ -529,58 +591,45 @@ impl AssignEngine {
 
     /// First assignment of a session: full scans (identical to the
     /// exhaustive path) that also seed the bounds.
-    fn init_dense_pass(
-        &mut self,
-        data: &Matrix,
-        centroids: &Matrix,
-        c_norms: &[f64],
-        err: f64,
-        mode: BoundMode,
-    ) {
+    fn init_dense_pass(&mut self, data: &Matrix, scan: &FullScan<'_>, mode: BoundMode) {
         let k = self.k;
         let stride = self.stride;
         let elkan = mode == BoundMode::Elkan;
         let x_norms = &self.x_norms;
+        let x_hi = &self.x_hi;
         let stats = &self.stats;
+        let scratch = self.exec.scratch();
         parallel::map_rows_into(&self.exec, &mut self.state, stride, 1, |start, chunk| {
-            let mut comp = 0u64;
+            let mut buf = scratch.take_f64_uninit(scan.buf_len());
+            let (mut comp, mut skip, mut rows) = (0u64, 0u64, 0u64);
             for (off, row) in chunk.chunks_exact_mut(stride).enumerate() {
                 let i = start + off;
-                let x = data.row(i);
-                let xn = x_norms[i];
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                let mut runner = f64::INFINITY;
-                for (c, crow) in centroids.rows_iter().enumerate() {
-                    let d = xn + c_norms[c] - 2.0 * ops::dot(x, crow);
-                    comp += 1;
-                    if elkan {
-                        row[2 + c] = dist_lower(d, err);
-                    }
-                    if d < best_d {
-                        runner = best_d;
-                        best_d = d;
-                        best = c;
-                    } else if d < runner {
-                        runner = d;
-                    }
-                }
-                row[0] = best as f64;
-                row[1] = best_d.max(0.0);
+                let (head, tail) = row.split_at_mut(2);
+                let lower = if elkan { Some(tail) } else { None };
+                let out = scan.scan(data.row(i), x_norms[i], x_hi[i], None, &mut buf, lower);
+                head[0] = out.best as f64;
+                head[1] = out.best_d.max(0.0);
                 if !elkan {
-                    row[2] = dist_lower(runner, err);
+                    row[2] = dist_lower(out.runner, scan.err);
                 }
+                comp += out.comp;
+                skip += out.skip;
+                rows += 1;
             }
-            stats.add(comp, 0, (comp / k.max(1) as u64) * k as u64);
+            stats.add(comp, skip, rows * k as u64);
+            scratch.put_f64(buf);
         });
     }
 
     /// Hamerly iteration: one exact evaluation per point (the previous
     /// assignment — `dmin` must be exact every iteration because it
-    /// feeds inertia), then either a certified whole-point skip or a
-    /// full rescan that re-tightens the bound from the runner-up.
-    fn hamerly_pass(&mut self, data: &Matrix, centroids: &Matrix, c_norms: &[f64], err: f64) {
+    /// feeds inertia, and the evaluations run four points at a time),
+    /// then either a certified whole-point skip or a full rescan that
+    /// re-tightens the bound from the runner-up.
+    fn hamerly_pass(&mut self, data: &Matrix, scan: &FullScan<'_>) {
         let k = self.k;
+        let err = scan.err;
+        let c_norms = scan.c_norms;
         let mut delta_max = 0.0;
         for &d in self.drift.iter() {
             if d > delta_max {
@@ -588,13 +637,17 @@ impl AssignEngine {
             }
         }
         let x_norms = &self.x_norms;
+        let x_hi = &self.x_hi;
         let stats = &self.stats;
+        let scratch = self.exec.scratch();
         parallel::map_rows_into(
             &self.exec,
             &mut self.state,
             HAMERLY_STRIDE,
             1,
             |start, chunk| {
+                let mut buf = scratch.take_f64_uninit(scan.buf_len());
+                own_dots_into(data, scan.centroids, start, chunk, HAMERLY_STRIDE);
                 let mut comp = 0u64;
                 let mut skip = 0u64;
                 let mut upd = 0u64;
@@ -603,7 +656,8 @@ impl AssignEngine {
                     let x = data.row(i);
                     let xn = x_norms[i];
                     let a = row[0] as usize;
-                    let d_a = xn + c_norms[a] - 2.0 * ops::dot(x, centroids.row(a));
+                    let dot_a = row[1];
+                    let d_a = xn + c_norms[a] - 2.0 * dot_a;
                     comp += 1;
                     let l = decay_lower(row[2], delta_max);
                     if certified_floor(l, err) > d_a {
@@ -614,30 +668,16 @@ impl AssignEngine {
                         skip += k as u64 - 1;
                         continue;
                     }
-                    let mut best = 0usize;
-                    let mut best_d = f64::INFINITY;
-                    let mut runner = f64::INFINITY;
-                    for (c, crow) in centroids.rows_iter().enumerate() {
-                        let d = if c == a {
-                            d_a
-                        } else {
-                            comp += 1;
-                            xn + c_norms[c] - 2.0 * ops::dot(x, crow)
-                        };
-                        if d < best_d {
-                            runner = best_d;
-                            best_d = d;
-                            best = c;
-                        } else if d < runner {
-                            runner = d;
-                        }
-                    }
-                    row[0] = best as f64;
-                    row[1] = best_d.max(0.0);
-                    row[2] = dist_lower(runner, err);
+                    let out = scan.scan(x, xn, x_hi[i], Some((a, dot_a)), &mut buf, None);
+                    row[0] = out.best as f64;
+                    row[1] = out.best_d.max(0.0);
+                    row[2] = dist_lower(out.runner, err);
+                    comp += out.comp;
+                    skip += out.skip;
                     upd += 1;
                 }
                 stats.add(comp, skip, upd);
+                scratch.put_f64(buf);
             },
         );
     }
@@ -645,15 +685,18 @@ impl AssignEngine {
     /// Elkan iteration: per-candidate lower bounds decayed by
     /// per-centroid drift, sharpened by the center–center matrix
     /// (`s(a,c) − u ≤ d(x,c)`), with undecided candidates evaluated in
-    /// ascending order against the running best.
-    fn elkan_pass(&mut self, data: &Matrix, centroids: &Matrix, c_norms: &[f64], err: f64) {
+    /// ascending order against the running best. The exact evaluation
+    /// against the previous assignment runs four points at a time.
+    fn elkan_pass(&mut self, data: &Matrix, scan: &FullScan<'_>) {
         let k = self.k;
         let stride = self.stride;
+        let (centroids, c_norms, err) = (scan.centroids, scan.c_norms, scan.err);
         let x_norms = &self.x_norms;
         let drift = &self.drift;
         let cc = &self.cc;
         let stats = &self.stats;
         parallel::map_rows_into(&self.exec, &mut self.state, stride, 1, |start, chunk| {
+            own_dots_into(data, centroids, start, chunk, stride);
             let mut comp = 0u64;
             let mut skip = 0u64;
             let mut upd = 0u64;
@@ -662,7 +705,7 @@ impl AssignEngine {
                 let x = data.row(i);
                 let xn = x_norms[i];
                 let a = row[0] as usize;
-                let d_a = xn + c_norms[a] - 2.0 * ops::dot(x, centroids.row(a));
+                let d_a = xn + c_norms[a] - 2.0 * row[1];
                 comp += 1;
                 let u = dist_upper(d_a, err);
                 let mut best = 0usize;
@@ -1191,15 +1234,296 @@ impl Drop for AssignEngine {
     }
 }
 
+/// Stores in slot 1 of every state row of `rows` (width `stride`, the
+/// previous label in slot 0) the dot of its point (`first..`) with that
+/// label's centroid — each point's exact evaluation against its previous
+/// assignment — four points at a time through [`ops::dot4`]; every value
+/// is bitwise `ops::dot`. Slot 1 is the point's `dmin`, which every
+/// bounded pass overwrites once it has read the dot.
+fn own_dots_into(data: &Matrix, centroids: &Matrix, first: usize, rows: &mut [f64], stride: usize) {
+    let n = rows.len() / stride;
+    let label = |rows: &[f64], q: usize| rows[q * stride] as usize;
+    let mut q = 0;
+    while q + 4 <= n {
+        let xs = [0, 1, 2, 3].map(|r| data.row(first + q + r));
+        let cs = [0, 1, 2, 3].map(|r| centroids.row(label(rows, q + r)));
+        for (r, dot) in ops::dot4(xs, cs).into_iter().enumerate() {
+            rows[(q + r) * stride + 1] = dot;
+        }
+        q += 4;
+    }
+    for q in q..n {
+        rows[q * stride + 1] = ops::dot(data.row(first + q), centroids.row(label(rows, q)));
+    }
+}
+
+/// One point's full-scan result.
+struct ScanOut {
+    best: usize,
+    best_d: f64,
+    /// A floor under the kernel value of every candidate but `best`.
+    runner: f64,
+    comp: u64,
+    skip: u64,
+}
+
+/// The factored filter of a materialized Sum grid (module docs, "Blocked
+/// and factored scans"): the grid is `khatri_rao(sets, Sum)`, so a grid
+/// row's dot with `x` is, up to the bound `E`, the sum of the
+/// protocentroid dots `x·θ_l[t_l]` — Σh dots per point instead of ∏h.
+struct SumFilter<'a> {
+    sets: &'a [Matrix],
+    total_h: usize,
+    max_c_sq: f64,
+    /// Bounds every grid-row norm and `Σ_l max_a ‖θ_l[a]‖`.
+    norm_b: f64,
+}
+
+impl<'a> SumFilter<'a> {
+    /// The filter for a `k`-row grid over `sets`, or `None` when it does
+    /// not apply or would not save dots: fewer than two sets, sets that
+    /// do not span the grid, or `Σh ≥ k`.
+    fn new(sets: &'a [Matrix], k: usize, m: usize, max_c_sq: f64) -> Option<Self> {
+        let mut total_h = 0usize;
+        let mut rows = 1usize;
+        let mut theta = 0.0;
+        for s in sets {
+            if s.ncols() != m {
+                return None;
+            }
+            total_h += s.nrows();
+            rows = rows.saturating_mul(s.nrows());
+            let mut mx = 0.0;
+            for r in s.rows_iter() {
+                let v = ops::sq_norm(r);
+                if v > mx {
+                    mx = v;
+                }
+            }
+            theta += norm_upper(mx, m);
+        }
+        if sets.len() < 2 || rows != k || total_h >= k {
+            return None;
+        }
+        let c = norm_upper(max_c_sq, m);
+        Some(SumFilter {
+            sets,
+            total_h,
+            max_c_sq,
+            norm_b: if c > theta { c } else { theta },
+        })
+    }
+}
+
+/// Inputs shared by every full nearest-centroid scan of one pass: the
+/// candidates, their squared norms, the kernel error bound `err` that
+/// turns computed values into true-distance bounds, and the factored
+/// filter when the candidates are a materialized Sum grid.
+struct FullScan<'a> {
+    centroids: &'a Matrix,
+    c_norms: &'a [f64],
+    err: f64,
+    filter: Option<SumFilter<'a>>,
+}
+
+impl FullScan<'_> {
+    /// Length of the per-chunk work buffer [`FullScan::scan`] needs.
+    fn buf_len(&self) -> usize {
+        self.centroids.nrows() + self.filter.as_ref().map_or(0, |f| f.total_h)
+    }
+
+    /// Nearest candidate of `x` with the exhaustive scan's strict-`<`
+    /// ascending argmin and its exact kernel value. `own` is the label
+    /// and already-computed dot of the previous assignment (its value is
+    /// reused, not recomputed). With `lower`, every candidate's
+    /// true-distance lower bound is written there (Elkan's init).
+    fn scan(
+        &self,
+        x: &[f64],
+        xn: f64,
+        x_hi: f64,
+        own: Option<(usize, f64)>,
+        buf: &mut [f64],
+        mut lower: Option<&mut [f64]>,
+    ) -> ScanOut {
+        if let Some(f) = &self.filter {
+            if let Some(out) = self.scan_factored(f, x, xn, x_hi, own, buf, lower.as_deref_mut()) {
+                return out;
+            }
+        }
+        self.scan_blocked(x, xn, own, buf, lower)
+    }
+
+    /// Every candidate's kernel value, the dots four rows at a time
+    /// through [`ops::dot_block`] (bitwise `ops::dot`).
+    fn scan_blocked(
+        &self,
+        x: &[f64],
+        xn: f64,
+        own: Option<(usize, f64)>,
+        buf: &mut [f64],
+        mut lower: Option<&mut [f64]>,
+    ) -> ScanOut {
+        let (k, m) = self.centroids.shape();
+        let cdata = self.centroids.as_slice();
+        let dots = &mut buf[..k];
+        let mut comp = k as u64;
+        match own {
+            Some((a, dot_a)) => {
+                ops::dot_block(x, cdata, m, 0, &mut dots[..a]);
+                ops::dot_block(x, cdata, m, a + 1, &mut dots[a + 1..]);
+                dots[a] = dot_a;
+                comp -= 1;
+            }
+            None => ops::dot_block(x, cdata, m, 0, dots),
+        }
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        let mut runner = f64::INFINITY;
+        for (c, &dot) in dots.iter().enumerate() {
+            let d = xn + self.c_norms[c] - 2.0 * dot;
+            if let Some(l) = lower.as_deref_mut() {
+                l[c] = dist_lower(d, self.err);
+            }
+            if d < best_d {
+                runner = best_d;
+                best_d = d;
+                best = c;
+            } else if d < runner {
+                runner = d;
+            }
+        }
+        ScanOut {
+            best,
+            best_d,
+            runner,
+            comp,
+            skip: 0,
+        }
+    }
+
+    /// The factored filter: scores every grid row from the Σh
+    /// protocentroid dots, then evaluates verbatim, in ascending order,
+    /// exactly the rows whose score is within `2E` of the best score
+    /// (and within `E` of the previous assignment's exact value). Every
+    /// other row computes strictly above the exhaustive minimum, so the
+    /// argmin, its ties and `dmin` are the exhaustive scan's. `None`
+    /// when `E` is not finite (non-finite or overflowing inputs): the
+    /// caller falls back to the blocked scan.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_factored(
+        &self,
+        f: &SumFilter<'_>,
+        x: &[f64],
+        xn: f64,
+        x_hi: f64,
+        own: Option<(usize, f64)>,
+        buf: &mut [f64],
+        mut lower: Option<&mut [f64]>,
+    ) -> Option<ScanOut> {
+        let (k, m) = self.centroids.shape();
+        let (scores, pdots) = buf.split_at_mut(k);
+        let mut off = 0;
+        for s in f.sets {
+            let h = s.nrows();
+            ops::dot_block(x, s.as_slice(), m, 0, &mut pdots[off..off + h]);
+            off += h;
+        }
+        // Σ_l x·θ_l[t_l] for every grid row, expanded set by set in the
+        // grid's flat order (last digit fastest). In place: descending
+        // `a` reads each `scores[a]` before any block overwrites it.
+        let h0 = f.sets[0].nrows();
+        scores[..h0].copy_from_slice(&pdots[..h0]);
+        let (mut len, mut off) = (h0, h0);
+        for s in &f.sets[1..] {
+            let h = s.nrows();
+            let p_l = &pdots[off..off + h];
+            for a in (0..len).rev() {
+                let q = scores[a];
+                for (slot, &pv) in scores[a * h..(a + 1) * h].iter_mut().zip(p_l) {
+                    *slot = q + pv;
+                }
+            }
+            len *= h;
+            off += h;
+        }
+        let mut s_min = f64::INFINITY;
+        for (slot, &cn) in scores.iter_mut().zip(self.c_norms) {
+            let s = xn + cn - 2.0 * *slot;
+            *slot = s;
+            if s < s_min {
+                s_min = s;
+            }
+        }
+        let e = factored_error_bound(m, f.sets.len(), xn, f.max_c_sq, x_hi, f.norm_b);
+        if !(e.is_finite() && s_min < f64::INFINITY) {
+            return None;
+        }
+        let mut thr = s_min + 2.0 * e;
+        let own_d = own.map(|(a, dot_a)| (a, xn + self.c_norms[a] - 2.0 * dot_a));
+        if let Some((_, d_a)) = own_d {
+            if d_a + e < thr {
+                thr = d_a + e;
+            }
+        }
+        let (mut comp, mut skip) = (f.total_h as u64, 0u64);
+        let mut rejected = f64::INFINITY;
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        let mut runner = f64::INFINITY;
+        for (c, &s) in scores.iter().enumerate() {
+            let d = match own_d {
+                Some((a, d_a)) if a == c => d_a,
+                _ if s <= thr => {
+                    comp += 1;
+                    xn + self.c_norms[c] - 2.0 * ops::dot(x, self.centroids.row(c))
+                }
+                _ => {
+                    // Computes at least s − E > the exhaustive minimum.
+                    skip += 1;
+                    let lb = s - e;
+                    if lb < rejected {
+                        rejected = lb;
+                    }
+                    if let Some(l) = lower.as_deref_mut() {
+                        l[c] = dist_lower(lb, self.err);
+                    }
+                    continue;
+                }
+            };
+            if let Some(l) = lower.as_deref_mut() {
+                l[c] = dist_lower(d, self.err);
+            }
+            if d < best_d {
+                runner = best_d;
+                best_d = d;
+                best = c;
+            } else if d < runner {
+                runner = d;
+            }
+        }
+        Some(ScanOut {
+            best,
+            best_d,
+            runner: if rejected < runner { rejected } else { runner },
+            comp,
+            skip,
+        })
+    }
+}
+
 /// The exhaustive dense scan — the single reference implementation every
 /// caller deduplicates onto (formerly triplicated across `kmeans.rs`,
 /// `baselines/weighted.rs`, and the streaming batch path). Chunk-
 /// parallel over points; per-point work is independent of the chunk
-/// split, so results are identical at any thread count.
+/// split, so results are identical at any thread count. Each point's
+/// dots run four centroids at a time through [`ops::dot_block`], bitwise
+/// the one-at-a-time `ops::dot`.
 ///
 /// All temporaries come from `exec`'s [`Scratch`] arena: the centroid
-/// norms and an interleaved `(label, dmin)` buffer of `2n` f64 rows
-/// (labels round-trip exactly through f64 below 2^53).
+/// norms, one dot buffer per chunk, and an interleaved `(label, dmin)`
+/// buffer of `2n` f64 rows (labels round-trip exactly through f64 below
+/// 2^53).
 pub(crate) fn exhaustive_dense(
     data: &Matrix,
     centroids: &Matrix,
@@ -1219,29 +1543,28 @@ pub(crate) fn exhaustive_dense(
     let scratch = exec.scratch();
     let mut c_norms = scratch.take_f64_uninit(0);
     centroids.row_sq_norms_into(&mut c_norms);
+    let scan = FullScan {
+        centroids,
+        c_norms: &c_norms,
+        err: 0.0,
+        filter: None,
+    };
     // Width-2 rows, every element written before the read-back below.
     let mut buf = scratch.take_f64_uninit(2 * n);
     parallel::map_rows_into(exec, &mut buf, 2, 1, |start, chunk| {
+        let mut dots = scratch.take_f64_uninit(k);
         let mut rows = 0u64;
         for (off, out) in chunk.chunks_exact_mut(2).enumerate() {
             let x = data.row(start + off);
-            let xn = ops::sq_norm(x);
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, crow) in centroids.rows_iter().enumerate() {
-                let d = xn + c_norms[c] - 2.0 * ops::dot(x, crow);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            out[0] = best as f64;
-            out[1] = best_d.max(0.0);
+            let o = scan.scan_blocked(x, ops::sq_norm(x), None, &mut dots, None);
+            out[0] = o.best as f64;
+            out[1] = o.best_d.max(0.0);
             rows += 1;
         }
         if let Some(s) = stats {
             s.add(rows * k as u64, 0, 0);
         }
+        scratch.put_f64(dots);
     });
     for (i, pair) in buf.chunks_exact(2).enumerate() {
         labels[i] = pair[0] as usize;

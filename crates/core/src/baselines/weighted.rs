@@ -11,7 +11,7 @@
 //! for the compressed fits (property-tested in `tests/proptests.rs`).
 
 use crate::assign::{AssignEngine, PruneStats};
-use crate::kmeans::{validate_input, UPDATE_CHUNK};
+use crate::kmeans::{for_each_sqdist, validate_input, UPDATE_CHUNK};
 use crate::{CoreError, Result};
 use kr_linalg::{ops, parallel, ExecCtx, Matrix};
 use rand::rngs::StdRng;
@@ -281,10 +281,8 @@ fn weighted_plus_plus_init(points: &Matrix, weights: &[f64], k: usize, rng: &mut
     let mut centroids = Matrix::zeros(k, points.ncols());
     let first = sample_weighted_index(weights, rng);
     centroids.row_mut(0).copy_from_slice(points.row(first));
-    let mut d2: Vec<f64> = points
-        .rows_iter()
-        .map(|x| ops::sqdist(x, centroids.row(0)))
-        .collect();
+    let mut d2 = vec![0.0; n];
+    for_each_sqdist(points, centroids.row(0), |i, d| d2[i] = d);
     let mut masses: Vec<f64> = vec![0.0; n];
     for c in 1..k {
         for ((mass, &d), &w) in masses.iter_mut().zip(&d2).zip(weights) {
@@ -292,12 +290,11 @@ fn weighted_plus_plus_init(points: &Matrix, weights: &[f64], k: usize, rng: &mut
         }
         let pick = sample_weighted_index(&masses, rng);
         centroids.row_mut(c).copy_from_slice(points.row(pick));
-        for (i, x) in points.rows_iter().enumerate() {
-            let d = ops::sqdist(x, centroids.row(c));
+        for_each_sqdist(points, centroids.row(c), |i, d| {
             if d < d2[i] {
                 d2[i] = d;
             }
-        }
+        });
     }
     centroids
 }

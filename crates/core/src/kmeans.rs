@@ -353,10 +353,8 @@ pub(crate) fn plus_plus_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matri
     let mut centroids = Matrix::zeros(k, data.ncols());
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(data.row(first));
-    let mut d2: Vec<f64> = data
-        .rows_iter()
-        .map(|x| ops::sqdist(x, centroids.row(0)))
-        .collect();
+    let mut d2 = vec![0.0; n];
+    for_each_sqdist(data, centroids.row(0), |i, d| d2[i] = d);
     for c in 1..k {
         let total: f64 = d2.iter().sum();
         let pick = if total > 0.0 {
@@ -375,14 +373,32 @@ pub(crate) fn plus_plus_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matri
         };
         centroids.row_mut(c).copy_from_slice(data.row(pick));
         // Maintain the running min-distance array.
-        for (i, x) in data.rows_iter().enumerate() {
-            let d = ops::sqdist(x, centroids.row(c));
+        for_each_sqdist(data, centroids.row(c), |i, d| {
             if d < d2[i] {
                 d2[i] = d;
             }
-        }
+        });
     }
     centroids
+}
+
+/// Calls `f(i, sqdist(x_i, c))` for every row `x_i` of `data` in
+/// ascending order, the distances four rows at a time through
+/// [`ops::sqdist4`] (bitwise [`ops::sqdist`]) — the k-means++ update,
+/// which costs one full assignment pass per restart.
+pub(crate) fn for_each_sqdist(data: &Matrix, c: &[f64], mut f: impl FnMut(usize, f64)) {
+    let n = data.nrows();
+    let mut i = 0;
+    while i + 4 <= n {
+        let xs = [0, 1, 2, 3].map(|q| data.row(i + q));
+        for (q, d) in ops::sqdist4(xs, [c; 4]).into_iter().enumerate() {
+            f(i + q, d);
+        }
+        i += 4;
+    }
+    for r in i..n {
+        f(r, ops::sqdist(data.row(r), c));
+    }
 }
 
 pub(crate) fn validate_input(data: &Matrix, required_points: usize) -> Result<()> {

@@ -7,13 +7,16 @@
 //! every `PruneMode`, in both `KernelMode`s, at any worker count.
 //! These properties sweep ragged shapes and the degenerate corners —
 //! k = 1, duplicate centroids, zero-drift iterations — plus plain
-//! end-to-end fits at 1/2/8 pool workers.
+//! end-to-end fits at 1/2/8 pool workers. Materialized Sum grids also
+//! run the factored Khatri-Rao filter; its properties pin it to the
+//! exhaustive scan on adversarial grids (exact ties, rounding sums,
+//! three sets, a one-row set).
 
 use kr_core::aggregator::Aggregator;
 use kr_core::assign::AssignEngine;
 use kr_core::kmeans::{nearest_assignments_with, KMeans};
 use kr_core::kr_kmeans::{KrKMeans, KrVariant};
-use kr_core::operator::CentroidIndexer;
+use kr_core::operator::{khatri_rao, CentroidIndexer};
 use kr_linalg::{ExecCtx, KernelMode, Matrix, PruneMode, ThreadPool};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -275,6 +278,145 @@ fn kr_fits_pruned_equal_exhaustive_both_variants() {
                 .zip(reference.protocentroids.iter())
             {
                 assert_eq!(a, b, "{variant:?} {mode:?}");
+            }
+        }
+    }
+}
+
+/// An adversarial Sum-grid case: factor sets of the given sizes with
+/// values in `[-4, 4)` around a common `offset` (data too), where set 0's
+/// last row duplicates its first, so distinct grid rows tie exactly.
+/// With a large offset every `a_i + b_j` of the grid rounds. Every
+/// shape has Σh < ∏h, so the filter applies.
+fn sum_grid_case() -> impl Strategy<Value = (Matrix, Vec<Matrix>)> {
+    let shapes = prop_oneof![
+        Just(vec![2usize, 3]),
+        Just(vec![4, 3]),
+        Just(vec![3, 1, 4]),
+        Just(vec![2, 2, 3]),
+        Just(vec![1, 3, 3]),
+    ];
+    let offset = prop_oneof![Just(0.0f64), Just(1.0e6), Just(3.7e9)];
+    (shapes, offset, 4usize..40, 1usize..6).prop_flat_map(|(hs, offset, n, m)| {
+        let total: usize = hs.iter().sum();
+        let dvals = proptest::collection::vec(-4.0..4.0f64, n * m);
+        let svals = proptest::collection::vec(-4.0..4.0f64, total * m);
+        (dvals, svals).prop_map(move |(d, sv)| {
+            let data = Matrix::from_vec(n, m, d.iter().map(|v| v + offset).collect()).unwrap();
+            let mut sets = Vec::new();
+            let mut off = 0;
+            for &h in &hs {
+                let mut set = Matrix::from_fn(h, m, |i, j| sv[(off + i) * m + j]);
+                if h > 1 {
+                    let first = set.row(0).to_vec();
+                    set.row_mut(h - 1).copy_from_slice(&first);
+                }
+                off += h;
+                sets.push(set);
+            }
+            // The offset goes on set 0 only, so grid rows sit near it.
+            for v in sets[0].as_mut_slice() {
+                *v += offset;
+            }
+            (data, sets)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `assign_grid` with the Sum aggregator (factored filter on) is
+    /// bitwise the exhaustive scan over the materialized grid: labels
+    /// and `dmin`, through drifting iterations, in every pruning mode at
+    /// 1, 2 and 8 pool workers.
+    #[test]
+    fn sum_grid_filter_is_bitwise_exhaustive(
+        (data, sets) in sum_grid_case(),
+        workers in prop_oneof![Just(1usize), Just(2), Just(8)],
+    ) {
+        let n = data.nrows();
+        let pool = Arc::new(ThreadPool::new(workers));
+        for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
+            let exec = ExecCtx::threaded(workers + 1)
+                .with_pool(Arc::clone(&pool))
+                .with_prune_mode(mode);
+            let mut engine = AssignEngine::new(&exec);
+            engine.begin_fit(&data);
+            let mut sets = sets.clone();
+            let mut labels = vec![0usize; n];
+            let mut dmin = vec![0.0f64; n];
+            for it in 0..4 {
+                let grid = khatri_rao(&sets, Aggregator::Sum).unwrap();
+                engine.assign_grid(&data, &grid, &sets, Aggregator::Sum, &mut labels, &mut dmin);
+                let (rl, rd) = exhaustive(&data, &grid, &exec);
+                assert_bitwise(
+                    (&labels, &dmin),
+                    (&rl, &rd),
+                    &format!("{mode:?} workers {workers} iter {it}"),
+                );
+                // Drift one set (iteration 2 keeps still); the duplicate
+                // rows move together, so the ties survive.
+                if it != 2 {
+                    let l = it % sets.len();
+                    for v in sets[l].as_mut_slice() {
+                        *v += 0.05 * (it + 1) as f64;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The filter engages and is counted as documented on `PruneStats`: a
+/// full-scan pass over a (10,10) Sum grid after warm-up computes fewer
+/// than n·k exact distances, each point costing its Σh protocentroid
+/// dots plus its verbatim re-evaluations, with every grid row the
+/// filter rejects counted as skipped. The same sets under the Product
+/// aggregator (no filter) compute all n·k.
+#[test]
+fn factored_filter_engages_on_a_10x10_grid() {
+    let ds = kr_datasets::synthetic::blobs(400, 16, 12, 0.6, 21);
+    let data = ds.data;
+    let n = data.nrows();
+    let sets = vec![
+        data.select_rows(&(0..10).map(|i| i * 37).collect::<Vec<_>>()),
+        Matrix::from_fn(10, 16, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5),
+    ];
+    let k = 100;
+    for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
+        let exec = ExecCtx::serial().with_prune_mode(mode);
+        for agg in [Aggregator::Sum, Aggregator::Product] {
+            let grid = khatri_rao(&sets, agg).unwrap();
+            let mut engine = AssignEngine::new(&exec);
+            engine.begin_fit(&data);
+            let mut labels = vec![0usize; n];
+            let mut dmin = vec![0.0f64; n];
+            engine.assign_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin);
+            engine.begin_restart();
+            engine.take_stats();
+            engine.assign_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin);
+            let stats = engine.take_stats();
+            let (rl, rd) = exhaustive(&data, &grid, &exec);
+            assert_bitwise((&labels, &dmin), (&rl, &rd), &format!("{mode:?} {agg:?}"));
+            let nk = (n * k) as u64;
+            match agg {
+                Aggregator::Sum => {
+                    assert!(
+                        stats.dists_computed < nk / 2,
+                        "{mode:?}: filter computed {} of {nk}",
+                        stats.dists_computed
+                    );
+                    assert_eq!(
+                        stats.dists_computed + stats.dists_skipped,
+                        nk + (n * 20) as u64,
+                        "{mode:?}: every grid row is evaluated or skipped, plus Σh dots a point"
+                    );
+                }
+                Aggregator::Product => {
+                    assert_eq!(stats.dists_computed, nk, "{mode:?}");
+                    assert_eq!(stats.dists_skipped, 0, "{mode:?}");
+                }
             }
         }
     }

@@ -788,42 +788,15 @@ fn matmul_panel(
 }
 
 /// Writes `out[j] = dot(x, y_row(jb + j))` for a block of rows of a
-/// row-major `(rows x d)` buffer `y`, four dots at a time so each loaded
-/// element of `x` feeds four accumulators. In `Scalar` mode every dot
-/// keeps its own single accumulator in ascending-`d` order (bitwise
-/// identical to [`crate::ops::dot`]); `simd` delegates to
-/// [`crate::simd::dot_block`], whose 4-lane accumulation follows the
-/// lane-determinism contract instead.
+/// row-major `(rows x d)` buffer `y`. In `Scalar` mode this is
+/// [`crate::ops::dot_block`] (bitwise identical to [`crate::ops::dot`]
+/// per row); `simd` delegates to [`crate::simd::dot_block`], whose
+/// 4-lane accumulation follows the lane-determinism contract instead.
 fn dot_block(x: &[f64], y: &[f64], d: usize, jb: usize, out: &mut [f64], simd: bool) {
     if simd {
         crate::simd::dot_block(x, y, d, jb, out);
-        return;
-    }
-    let jw = out.len();
-    let mut j = 0;
-    while j + 4 <= jw {
-        let base = (jb + j) * d;
-        let y0 = &y[base..base + d];
-        let y1 = &y[base + d..base + 2 * d];
-        let y2 = &y[base + 2 * d..base + 3 * d];
-        let y3 = &y[base + 3 * d..base + 4 * d];
-        let (mut d0, mut d1, mut d2, mut d3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for ((((&xv, &v0), &v1), &v2), &v3) in x.iter().zip(y0).zip(y1).zip(y2).zip(y3) {
-            d0 += xv * v0;
-            d1 += xv * v1;
-            d2 += xv * v2;
-            d3 += xv * v3;
-        }
-        out[j] = d0;
-        out[j + 1] = d1;
-        out[j + 2] = d2;
-        out[j + 3] = d3;
-        j += 4;
-    }
-    while j < jw {
-        let base = (jb + j) * d;
-        out[j] = crate::ops::dot(x, &y[base..base + d]);
-        j += 1;
+    } else {
+        crate::ops::dot_block(x, y, d, jb, out);
     }
 }
 

@@ -14,6 +14,53 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
 }
 
+/// Four independent dot products, `out[r] = dot(xs[r], ys[r])`, advanced
+/// together so their four add chains overlap in the pipeline.
+///
+/// Every accumulator starts at `-0.0` (the neutral element of f64
+/// `Sum`, which [`dot`] folds from) and adds its products in ascending
+/// index order, so each output is bitwise [`dot`] of its pair — signed
+/// zeros and empty slices included. All eight slices must have the
+/// length of `xs[0]`.
+#[inline(always)]
+pub fn dot4(xs: [&[f64]; 4], ys: [&[f64]; 4]) -> [f64; 4] {
+    let d = xs[0].len();
+    let (x0, x1, x2, x3) = (&xs[0][..d], &xs[1][..d], &xs[2][..d], &xs[3][..d]);
+    let (y0, y1, y2, y3) = (&ys[0][..d], &ys[1][..d], &ys[2][..d], &ys[3][..d]);
+    let mut acc = [-0.0f64; 4];
+    for i in 0..d {
+        acc[0] += x0[i] * y0[i];
+        acc[1] += x1[i] * y1[i];
+        acc[2] += x2[i] * y2[i];
+        acc[3] += x3[i] * y3[i];
+    }
+    acc
+}
+
+/// Writes `out[j] = dot(x, y_row(jb + j))` for a block of rows of a
+/// row-major `(rows × d)` buffer `y`, four rows at a time through
+/// [`dot4`] so each loaded element of `x` feeds four accumulators; the
+/// last `out.len() % 4` rows use [`dot`]. Every output is bitwise
+/// [`dot`] of its row. This is the scalar kernel behind the blocked
+/// pairwise-distance products and every full nearest-centroid scan.
+#[inline]
+pub fn dot_block(x: &[f64], y: &[f64], d: usize, jb: usize, out: &mut [f64]) {
+    debug_assert_eq!(x.len(), d);
+    let x = &x[..d];
+    let mut quads = out.chunks_exact_mut(4);
+    let mut base = jb * d;
+    for q in &mut quads {
+        let r = &y[base..base + 4 * d];
+        let ys = [&r[..d], &r[d..2 * d], &r[2 * d..3 * d], &r[3 * d..]];
+        q.copy_from_slice(&dot4([x; 4], ys));
+        base += 4 * d;
+    }
+    for o in quads.into_remainder() {
+        *o = dot(x, &y[base..base + d]);
+        base += d;
+    }
+}
+
 /// Squared Euclidean distance between two equal-length slices.
 #[inline]
 pub fn sqdist(a: &[f64], b: &[f64]) -> f64 {
@@ -25,6 +72,27 @@ pub fn sqdist(a: &[f64], b: &[f64]) -> f64 {
             d * d
         })
         .sum()
+}
+
+/// Four independent squared distances, `out[r] = sqdist(xs[r], ys[r])`,
+/// advanced together like [`dot4`]: each accumulator starts at `-0.0`
+/// and adds its squared differences in ascending index order, so every
+/// output is bitwise [`sqdist`] of its pair. All eight slices must have
+/// the length of `xs[0]`.
+#[inline(always)]
+pub fn sqdist4(xs: [&[f64]; 4], ys: [&[f64]; 4]) -> [f64; 4] {
+    let d = xs[0].len();
+    let (x0, x1, x2, x3) = (&xs[0][..d], &xs[1][..d], &xs[2][..d], &xs[3][..d]);
+    let (y0, y1, y2, y3) = (&ys[0][..d], &ys[1][..d], &ys[2][..d], &ys[3][..d]);
+    let mut acc = [-0.0f64; 4];
+    for i in 0..d {
+        let (e0, e1, e2, e3) = (x0[i] - y0[i], x1[i] - y1[i], x2[i] - y2[i], x3[i] - y3[i]);
+        acc[0] += e0 * e0;
+        acc[1] += e1 * e1;
+        acc[2] += e2 * e2;
+        acc[3] += e3 * e3;
+    }
+    acc
 }
 
 /// Euclidean distance between two equal-length slices.

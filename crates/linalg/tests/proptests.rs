@@ -23,6 +23,12 @@ fn matrix_pair_same_shape(max_dim: usize) -> impl Strategy<Value = (Matrix, Matr
     })
 }
 
+/// Values drawn with a heavy share of signed zeros, so whole rows of
+/// products come out `-0.0` and the accumulator's starting value shows.
+fn zero_heavy() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0f64), Just(-0.0f64), -4.0..4.0f64]
+}
+
 fn approx_eq(a: &Matrix, b: &Matrix, tol: f64) -> bool {
     a.shape() == b.shape()
         && a.as_slice()
@@ -304,5 +310,62 @@ proptest! {
             a.pairwise_sqdist_with(&b, &scalar).unwrap(),
             a.pairwise_sqdist_with(&b, &simd).unwrap()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The scalar blocked kernels are bitwise `ops::dot` per row: signed
+    /// zeros, empty rows (`d = 0`) and `rows % 4 != 0` tails included.
+    /// Both `dot_block` (shared `x`) and `dot4` (four independent pairs)
+    /// start each accumulator at `-0.0`, the neutral element of the
+    /// f64 `Sum` that `ops::dot` folds from.
+    #[test]
+    fn dot_block_is_bitwise_ops_dot(
+        (d, rows, jb, x, y) in (0usize..10, 0usize..11, 0usize..3).prop_flat_map(|(d, rows, jb)| {
+            let x = proptest::collection::vec(zero_heavy(), d);
+            let y = proptest::collection::vec(zero_heavy(), (jb + rows) * d);
+            (Just(d), Just(rows), Just(jb), x, y)
+        }),
+    ) {
+        let mut out = vec![f64::NAN; rows];
+        ops::dot_block(&x, &y, d, jb, &mut out);
+        let row = |r: usize| &y[(jb + r) * d..(jb + r + 1) * d];
+        for (r, v) in out.iter().enumerate() {
+            let want = ops::dot(&x, row(r));
+            prop_assert!(v.to_bits() == want.to_bits(), "row {r}: {v:?} vs {want:?}");
+        }
+        for r0 in (0..rows.saturating_sub(3)).step_by(2) {
+            let quad = ops::dot4([&x[..]; 4], [row(r0), row(r0 + 1), row(r0 + 2), row(r0 + 3)]);
+            let pairs = ops::dot4([row(r0), row(r0 + 1), row(r0 + 2), row(r0 + 3)], [&x[..]; 4]);
+            for q in 0..4 {
+                let want = ops::dot(&x, row(r0 + q));
+                prop_assert!(quad[q].to_bits() == want.to_bits(), "lane {q}: {:?} vs {want:?}", quad[q]);
+                prop_assert_eq!(pairs[q].to_bits(), ops::dot(row(r0 + q), &x).to_bits());
+            }
+        }
+    }
+
+    /// The same pin through the public blocked product: every entry of a
+    /// `Scalar` `matmul_transpose_b` carries the bits of `ops::dot`.
+    #[test]
+    fn scalar_matmul_transpose_b_is_bitwise_ops_dot(
+        (a, b) in (1usize..7, 1usize..6, 1usize..11).prop_flat_map(|(m, d, n)| {
+            let a = proptest::collection::vec(zero_heavy(), m * d)
+                .prop_map(move |v| Matrix::from_vec(m, d, v).unwrap());
+            let b = proptest::collection::vec(zero_heavy(), n * d)
+                .prop_map(move |v| Matrix::from_vec(n, d, v).unwrap());
+            (a, b)
+        }),
+    ) {
+        let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
+        let prod = a.matmul_transpose_b_with(&b, &scalar).unwrap();
+        for i in 0..a.nrows() {
+            for j in 0..b.nrows() {
+                let (got, want) = (prod.get(i, j), ops::dot(a.row(i), b.row(j)));
+                prop_assert!(got.to_bits() == want.to_bits(), "({i}, {j}): {got:?} vs {want:?}");
+            }
+        }
     }
 }
