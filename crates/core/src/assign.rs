@@ -5,13 +5,13 @@
 //! Elkan/Hamerly-style triangle-inequality bounds while keeping the
 //! repo's signature contract: **pruned assignment is bitwise identical
 //! to the exhaustive scan** — labels, per-point distances, and therefore
-//! centroids, inertia, and `SuffStats` downstream — at any worker count
-//! and in both [`kr_linalg::KernelMode`]s.
+//! centroids, inertia, and `SuffStats` downstream — at any worker count.
 //!
-//! Every kernel value is the scalar expression
-//! `‖x‖² + ‖c‖² − 2·ops::dot(x, c)` in every `KernelMode`: `KR_KERNEL=simd`
-//! speeds up the matrix kernels but does not reach assignment (routing
-//! the lane kernels in would need a per-mode exhaustive reference).
+//! Every kernel value is the one scalar expression
+//! `‖x‖² + ‖c‖² − 2·ops::dot(x, c)`. The blocked matrix products run the
+//! lane kernels of [`kr_linalg::simd`] instead; assignment does not, so
+//! moving it to lanes would change the exhaustive reference and every
+//! pruned path with it, as one whole-path change.
 //!
 //! ## Why pruning can be bitwise-safe
 //!

@@ -4,7 +4,7 @@
 //! The engine's contract (see `kr_core::assign`) is that pruning is
 //! *invisible* in the output: labels, per-point distances, centroids,
 //! and inertia must carry the same bits as the exhaustive path, in
-//! every `PruneMode`, in both `KernelMode`s, at any worker count.
+//! every `PruneMode`, at any worker count.
 //! These properties sweep ragged shapes and the degenerate corners —
 //! k = 1, duplicate centroids, zero-drift iterations — plus plain
 //! end-to-end fits at 1/2/8 pool workers. Materialized Sum grids also
@@ -17,7 +17,7 @@ use kr_core::assign::AssignEngine;
 use kr_core::kmeans::{nearest_assignments_with, KMeans};
 use kr_core::kr_kmeans::{KrKMeans, KrVariant};
 use kr_core::operator::{khatri_rao, CentroidIndexer};
-use kr_linalg::{ExecCtx, KernelMode, Matrix, PruneMode, ThreadPool};
+use kr_linalg::{ExecCtx, Matrix, PruneMode, ThreadPool};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -59,37 +59,32 @@ fn ragged_case() -> impl Strategy<Value = (Matrix, Matrix)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Ragged shapes, several drifting iterations, all forced modes and
-    /// both kernel modes: the engine never departs from the exhaustive
-    /// scan by a single bit.
+    /// Ragged shapes, several drifting iterations, all forced modes: the
+    /// engine never departs from the exhaustive scan by a single bit.
     #[test]
     fn dense_pruned_is_bitwise_exhaustive((data, mut centroids) in ragged_case()) {
         let n = data.nrows();
-        for kernel in [KernelMode::Scalar, KernelMode::Simd] {
-            for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
-                let exec = ExecCtx::serial()
-                    .with_kernel_mode(kernel)
-                    .with_prune_mode(mode);
-                let mut engine = AssignEngine::new(&exec);
-                engine.begin_fit(&data);
-                let mut centroids = centroids.clone();
-                let mut labels = vec![0usize; n];
-                let mut dmin = vec![0.0f64; n];
-                for it in 0..4 {
-                    engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
-                    let (rl, rd) = exhaustive(&data, &centroids, &exec);
-                    assert_bitwise(
-                        (&labels, &dmin),
-                        (&rl, &rd),
-                        &format!("{kernel:?}/{mode:?} iter {it}"),
-                    );
-                    // Drift every centroid a little; iteration 2 is a
-                    // zero-drift round (stale-bound certification path).
-                    if it != 2 {
-                        for c in 0..centroids.nrows() {
-                            for (j, v) in centroids.row_mut(c).iter_mut().enumerate() {
-                                *v += 0.03 * ((c + j + it) % 3) as f64;
-                            }
+        for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
+            let exec = ExecCtx::serial().with_prune_mode(mode);
+            let mut engine = AssignEngine::new(&exec);
+            engine.begin_fit(&data);
+            let mut centroids = centroids.clone();
+            let mut labels = vec![0usize; n];
+            let mut dmin = vec![0.0f64; n];
+            for it in 0..4 {
+                engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
+                let (rl, rd) = exhaustive(&data, &centroids, &exec);
+                assert_bitwise(
+                    (&labels, &dmin),
+                    (&rl, &rd),
+                    &format!("{mode:?} iter {it}"),
+                );
+                // Drift every centroid a little; iteration 2 is a
+                // zero-drift round (stale-bound certification path).
+                if it != 2 {
+                    for c in 0..centroids.nrows() {
+                        for (j, v) in centroids.row_mut(c).iter_mut().enumerate() {
+                            *v += 0.03 * ((c + j + it) % 3) as f64;
                         }
                     }
                 }

@@ -218,19 +218,11 @@ pub fn gather_stats(
 }
 
 /// Inertia over all client shards (evaluation only; the protocol path
-/// assembles the same quantity from client-reported partial inertias).
-pub fn global_inertia(clients: &[Client], centroids: &Matrix) -> f64 {
-    clients
-        .iter()
-        .map(|c| shard_inertia_serial(&c.data, centroids))
-        .sum()
-}
-
-/// [`global_inertia`] with each shard's scan chunk-parallel on `exec`'s
-/// pool. Chunk geometry is a pure function of the shard size, and
-/// per-chunk partials merge in ascending order, so the result is
-/// bitwise identical at any thread count (it may differ from the fully
-/// serial [`global_inertia`] by accumulation order only).
+/// assembles the same quantity from client-reported partial inertias),
+/// with each shard's scan chunk-parallel on `exec`'s pool. Chunk
+/// geometry is a pure function of the shard size, and per-chunk
+/// partials merge in ascending order, so the result is bitwise
+/// identical at any thread count.
 pub fn global_inertia_with(clients: &[Client], centroids: &Matrix, exec: &ExecCtx) -> f64 {
     /// Points per reduction chunk (fixed: never derived from the thread
     /// budget).
@@ -257,17 +249,6 @@ pub fn global_inertia_with(clients: &[Client], centroids: &Matrix, exec: &ExecCt
                 },
             );
             partials.iter().sum::<f64>()
-        })
-        .sum()
-}
-
-fn shard_inertia_serial(data: &Matrix, centroids: &Matrix) -> f64 {
-    data.rows_iter()
-        .map(|x| {
-            centroids
-                .rows_iter()
-                .map(|c| ops::sqdist(x, c))
-                .fold(f64::INFINITY, f64::min)
         })
         .sum()
 }
@@ -498,9 +479,6 @@ mod tests {
             let got = global_inertia_with(&clients, &centroids, &ExecCtx::threaded(threads));
             assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
         }
-        // And it approximates the serial reference to fp-reorder noise.
-        let serial = global_inertia(&clients, &centroids);
-        assert!((reference - serial).abs() <= 1e-9 * serial.abs().max(1.0));
     }
 
     #[test]

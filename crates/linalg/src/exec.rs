@@ -6,8 +6,11 @@
 //! replaces the ad-hoc `threads: usize` fields the crates grew
 //! independently: a context names *how many* threads to use, *which*
 //! pool supplies them (the lazily-initialized process-global pool by
-//! default, or an explicit [`ThreadPool`] shared across fits), and the
-//! cache-tiling geometry the blocked kernels in [`crate::Matrix`] use.
+//! default, or an explicit [`ThreadPool`] shared across fits), the
+//! cache-tiling geometry the blocked kernels in [`crate::Matrix`] use,
+//! and the assignment-pruning policy. It does not choose a kernel
+//! implementation: the blocked matrix products always run the lane
+//! kernels in [`crate::simd`].
 //!
 //! The default context is **serial** (`threads == 1`), so every API that
 //! takes or embeds an `ExecCtx` behaves exactly like the single-threaded
@@ -25,41 +28,6 @@
 
 use crate::pool::{self, ThreadPool};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Which kernel implementation the blocked matrix kernels run.
-///
-/// `Scalar` (the default) is the reference path: plain multiplies and
-/// adds, bitwise identical to the seed implementation at any thread
-/// count or tiling. `Simd` opts in to the runtime-dispatched lane
-/// kernels in [`crate::simd`] — roughly one fused multiply-add per
-/// element per cycle on AVX2/FMA hardware — which carry their *own*
-/// determinism contract (bitwise across thread counts, runs, and
-/// backends at the fixed 4-wide logical lane width) but are **not**
-/// bitwise equal to `Scalar` results, because lane-parallel
-/// accumulation reassociates floating-point sums.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Scalar reference kernels (the seed-compatible oracle).
-    #[default]
-    Scalar,
-    /// Runtime-feature-detected lane kernels ([`crate::simd`]).
-    Simd,
-}
-
-impl KernelMode {
-    /// The process-default mode: `Simd` when the `KR_KERNEL` environment
-    /// variable is set to `simd` (any case), `Scalar` otherwise. Read
-    /// once and cached, so a context created early and one created late
-    /// always agree. CI uses `KR_KERNEL=simd` to re-run the whole
-    /// `exec_determinism` suite in `Simd` mode.
-    pub fn from_env() -> Self {
-        static MODE: OnceLock<KernelMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("KR_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("simd") => KernelMode::Simd,
-            _ => KernelMode::Scalar,
-        })
-    }
-}
 
 /// Assignment-pruning policy for the bounds-gated engine in `kr-core`.
 ///
@@ -88,10 +56,10 @@ pub enum PruneMode {
 impl PruneMode {
     /// The process-default mode, read once from the `KR_PRUNE`
     /// environment variable (`off`, `hamerly`, `elkan`, anything else —
-    /// including unset — means `Auto`) and cached, mirroring
-    /// [`KernelMode::from_env`]. CI uses `KR_PRUNE=hamerly` /
-    /// `KR_PRUNE=elkan` to re-run the determinism suites with pruning
-    /// forced on.
+    /// including unset — means `Auto`) and cached, so a context created
+    /// early and one created late always agree. CI uses
+    /// `KR_PRUNE=hamerly` / `KR_PRUNE=elkan` to re-run the determinism
+    /// suites with pruning forced on.
     pub fn from_env() -> Self {
         static MODE: OnceLock<PruneMode> = OnceLock::new();
         *MODE.get_or_init(|| match std::env::var("KR_PRUNE") {
@@ -236,7 +204,6 @@ pub struct ExecCtx {
     threads: usize,
     pool: PoolHandle,
     tiling: Tiling,
-    kernel: KernelMode,
     prune: PruneMode,
     scratch: Scratch,
 }
@@ -254,7 +221,6 @@ impl ExecCtx {
             threads: 1,
             pool: PoolHandle::Global,
             tiling: Tiling::default(),
-            kernel: KernelMode::from_env(),
             prune: PruneMode::from_env(),
             scratch: Scratch::default(),
         }
@@ -290,13 +256,6 @@ impl ExecCtx {
         self
     }
 
-    /// Selects the kernel implementation ([`KernelMode`]); the default
-    /// comes from [`KernelMode::from_env`].
-    pub fn with_kernel_mode(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// The configured thread budget.
     pub fn threads(&self) -> usize {
         self.threads
@@ -313,11 +272,6 @@ impl ExecCtx {
     pub fn with_prune_mode(mut self, prune: PruneMode) -> Self {
         self.prune = prune;
         self
-    }
-
-    /// The configured kernel mode.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
     }
 
     /// The configured assignment-pruning policy.
@@ -423,25 +377,6 @@ mod tests {
             })
             .tiling();
         assert_eq!((t.mc, t.kc, t.nc), (1, 1, 1));
-    }
-
-    #[test]
-    fn kernel_mode_builder_overrides_default() {
-        // Can't assert the *absolute* default here — it reads KR_KERNEL
-        // once per process — but the builder override must always win,
-        // and `threaded` must agree with `serial` (it delegates).
-        assert_eq!(
-            ExecCtx::serial().kernel_mode(),
-            ExecCtx::threaded(4).kernel_mode()
-        );
-        let ctx = ExecCtx::serial().with_kernel_mode(KernelMode::Simd);
-        assert_eq!(ctx.kernel_mode(), KernelMode::Simd);
-        assert_eq!(
-            ctx.clone()
-                .with_kernel_mode(KernelMode::Scalar)
-                .kernel_mode(),
-            KernelMode::Scalar
-        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod pool;
 pub mod simd;
 pub mod storage;
 
-pub use exec::{ExecCtx, KernelMode, PruneMode, Scratch, Tiling};
+pub use exec::{ExecCtx, PruneMode, Scratch, Tiling};
 pub use matrix::Matrix;
 pub use pool::ThreadPool;
 pub use storage::AlignedVec;

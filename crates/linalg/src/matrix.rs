@@ -4,12 +4,12 @@
 //! (`matmul`, `pairwise_sqdist`, …) run serially with default tiling,
 //! and the `*_with` variants take an [`ExecCtx`] naming a thread budget,
 //! pool, and tiling geometry. Both flavors share one blocked
-//! implementation whose per-element accumulation order is ascending in
-//! the shared dimension regardless of tiling or thread count, so
-//! `a.matmul(&b)` and `a.matmul_with(&b, ctx)` are bitwise identical for
-//! every `ctx`.
+//! implementation built on the lane kernels in [`crate::simd`], whose
+//! per-element schedule is fixed regardless of tiling or thread count,
+//! so `a.matmul(&b)` and `a.matmul_with(&b, ctx)` are bitwise identical
+//! for every `ctx`.
 
-use crate::exec::{ExecCtx, KernelMode, Scratch, Tiling};
+use crate::exec::{ExecCtx, Scratch, Tiling};
 use crate::storage::AlignedVec;
 use crate::{parallel, LinalgError, Result};
 
@@ -301,8 +301,9 @@ impl Matrix {
     /// over row panels on `exec`'s pool.
     ///
     /// Every output element accumulates its `k` terms in ascending
-    /// order regardless of tiling or thread count, so results are
-    /// bitwise identical to the serial naive `ikj` product.
+    /// order, one fused `mul_add` each, regardless of tiling or thread
+    /// count, so results are bitwise identical to the serial naive `ikj`
+    /// product written with `mul_add`.
     pub fn matmul_with(&self, rhs: &Matrix, exec: &ExecCtx) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -317,12 +318,11 @@ impl Matrix {
             return Ok(out);
         }
         let til = exec.tiling();
-        let simd = exec.kernel_mode() == KernelMode::Simd;
         let a: &[f64] = &self.data;
         let b: &[f64] = &rhs.data;
         let scratch = exec.scratch();
         parallel::map_rows_into(exec, out.data.as_mut_slice(), n, til.mc, |i0, c_rows| {
-            matmul_panel(a, b, c_rows, i0, k, n, til, simd, scratch);
+            matmul_panel(a, b, c_rows, i0, k, n, til, scratch);
         });
         Ok(out)
     }
@@ -338,7 +338,8 @@ impl Matrix {
     /// is the natural layout for `X * C^T` pairwise-dot computations.
     /// Blocked over `rhs`-row panels (so a panel stays in cache across
     /// many rows of `self`) with a 4-dot register tile, parallelized
-    /// over `self`-row panels on `exec`'s pool.
+    /// over `self`-row panels on `exec`'s pool. Every entry is bitwise
+    /// [`crate::simd::dot1`] of its two rows.
     pub fn matmul_transpose_b_with(&self, rhs: &Matrix, exec: &ExecCtx) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -354,7 +355,6 @@ impl Matrix {
             return Ok(out);
         }
         let til = exec.tiling();
-        let simd = exec.kernel_mode() == KernelMode::Simd;
         let a: &[f64] = &self.data;
         let b: &[f64] = &rhs.data;
         parallel::map_rows_into(exec, out.data.as_mut_slice(), n, til.mc, |i0, out_rows| {
@@ -364,7 +364,7 @@ impl Matrix {
                 for ii in 0..h {
                     let x = &a[(i0 + ii) * d..(i0 + ii + 1) * d];
                     let drow = &mut out_rows[ii * n + jb..ii * n + jb + jw];
-                    dot_block(x, b, d, jb, drow, simd);
+                    crate::simd::dot_block(x, b, d, jb, drow);
                 }
             }
         });
@@ -396,7 +396,6 @@ impl Matrix {
             return Ok(out);
         }
         let til = exec.tiling();
-        let simd = exec.kernel_mode() == KernelMode::Simd;
         let a_cols = self.cols;
         let a: &[f64] = &self.data;
         let b: &[f64] = &rhs.data;
@@ -409,12 +408,7 @@ impl Matrix {
                     if av == 0.0 {
                         continue;
                     }
-                    let row = &mut out_rows[ii * n..(ii + 1) * n];
-                    if simd {
-                        crate::simd::axpy(row, av, b_row);
-                    } else {
-                        crate::ops::axpy(row, av, b_row);
-                    }
+                    crate::simd::axpy(&mut out_rows[ii * n..(ii + 1) * n], av, b_row);
                 }
             }
         });
@@ -576,7 +570,10 @@ impl Matrix {
     pub fn row_sq_norms_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.rows);
-        for r in self.rows_iter() {
+        // Indexed rather than `rows_iter`, so a zero-width matrix still
+        // yields one (empty-sum) norm per row.
+        for i in 0..self.rows {
+            let r = self.row(i);
             out.push(crate::ops::dot(r, r));
         }
     }
@@ -606,7 +603,9 @@ impl Matrix {
     /// the norm expansion are fused into one pass (the seed implementation
     /// materialized the full `n x k` dot matrix and re-traversed it),
     /// blocked over `other`-row panels with a 4-dot register tile, and
-    /// parallelized over `self`-row panels on `exec`'s pool.
+    /// parallelized over `self`-row panels on `exec`'s pool. Every entry
+    /// is bitwise `(‖x‖² + ‖c‖² − 2·simd::dot1(x, c)).max(0)`, with the
+    /// norms from [`Matrix::row_sq_norms`].
     pub fn pairwise_sqdist_with(&self, other: &Matrix, exec: &ExecCtx) -> Result<Matrix> {
         if self.cols != other.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -624,7 +623,6 @@ impl Matrix {
         let x_norms = self.row_sq_norms();
         let c_norms = other.row_sq_norms();
         let til = exec.tiling();
-        let simd = exec.kernel_mode() == KernelMode::Simd;
         let x_data: &[f64] = &self.data;
         let c_data: &[f64] = &other.data;
         let (x_norms, c_norms) = (&x_norms, &c_norms);
@@ -636,7 +634,7 @@ impl Matrix {
                     let x = &x_data[(i0 + ii) * d..(i0 + ii + 1) * d];
                     let xn = x_norms[i0 + ii];
                     let drow = &mut out_rows[ii * k + jb..ii * k + jb + jw];
-                    dot_block(x, c_data, d, jb, drow, simd);
+                    crate::simd::dot_block(x, c_data, d, jb, drow);
                     for (slot, &cn) in drow.iter_mut().zip(&c_norms[jb..jb + jw]) {
                         *slot = (xn + cn - 2.0 * *slot).max(0.0);
                     }
@@ -660,8 +658,8 @@ impl Matrix {
 /// every 4-row tile of the output panel. Narrow outputs (`n <= nc`,
 /// one slab spanning whole rows of `B`) are already contiguous and skip
 /// the copy entirely. Packing only moves values — the accumulation
-/// order is untouched, so results stay bitwise identical to the
-/// unpacked kernel (`micro_kernels` benches the before/after).
+/// order is untouched, so whether a slab was packed never shows in the
+/// result.
 ///
 /// Pack-cost accounting: `map_rows_into` hands each *worker chunk* to
 /// one call of this function (the entire output when serial), so each
@@ -673,11 +671,12 @@ impl Matrix {
 /// every `pw x jw` panel is fully written by `copy_from_slice` before
 /// the register tiles read it, so stale contents are never observed.
 ///
-/// `simd` hands each 4-row tile to [`crate::simd::fma_panel4`], which
-/// holds the accumulators in vector registers across the whole
-/// `kc`-panel instead of re-walking the output rows once per `k` step;
-/// each element's ascending-`k` accumulation order is identical in both
-/// modes — `Simd` only fuses each multiply-add rounding.
+/// Each 4-row tile goes to [`crate::simd::fma_panel4`], which holds the
+/// accumulators in vector registers across the whole `kc`-panel instead
+/// of re-walking the output rows once per `k` step (it reads the panel
+/// at stride `jw`, which is why strided slabs are packed); remainder
+/// rows run [`crate::simd::axpy`]. Both apply one fused `mul_add` per
+/// contribution in ascending `k` order.
 #[allow(clippy::too_many_arguments)]
 fn matmul_panel(
     a: &[f64],
@@ -687,7 +686,6 @@ fn matmul_panel(
     k: usize,
     n: usize,
     til: Tiling,
-    simd: bool,
     scratch: &Scratch,
 ) {
     let h = c.len() / n;
@@ -728,41 +726,22 @@ fn matmul_panel(
                     &mut r3[jc..jc + jw],
                 );
                 let a_base = (i0 + ir) * k;
-                if simd {
-                    // Whole-panel kernel: the 4-row accumulator tile
-                    // stays in registers across all of `pc..pc + pw`
-                    // (bitwise the same ascending-`p` fused chain as
-                    // the per-`p` loop below, per `fma_panel4`'s
-                    // contract — only the output-row traffic differs).
-                    crate::simd::fma_panel4(
-                        r0,
-                        r1,
-                        r2,
-                        r3,
-                        [
-                            &a[a_base + pc..a_base + pc + pw],
-                            &a[a_base + k + pc..a_base + k + pc + pw],
-                            &a[a_base + 2 * k + pc..a_base + 2 * k + pc + pw],
-                            &a[a_base + 3 * k + pc..a_base + 3 * k + pc + pw],
-                        ],
-                        panel,
-                    );
-                } else {
-                    for (pp, p) in (pc..pc + pw).enumerate() {
-                        let a0 = a[a_base + p];
-                        let a1 = a[a_base + k + p];
-                        let a2 = a[a_base + 2 * k + p];
-                        let a3 = a[a_base + 3 * k + p];
-                        let b_row = &panel[pp * jw..pp * jw + jw];
-                        crate::ops::axpy(r0, a0, b_row);
-                        crate::ops::axpy(r1, a1, b_row);
-                        crate::ops::axpy(r2, a2, b_row);
-                        crate::ops::axpy(r3, a3, b_row);
-                    }
-                }
+                crate::simd::fma_panel4(
+                    r0,
+                    r1,
+                    r2,
+                    r3,
+                    [
+                        &a[a_base + pc..a_base + pc + pw],
+                        &a[a_base + k + pc..a_base + k + pc + pw],
+                        &a[a_base + 2 * k + pc..a_base + 2 * k + pc + pw],
+                        &a[a_base + 3 * k + pc..a_base + 3 * k + pc + pw],
+                    ],
+                    panel,
+                );
                 ir += 4;
             }
-            // Remainder rows: plain axpy loop. No exact-zero multiplier
+            // Remainder rows: one axpy per `k` step. No exact-zero multiplier
             // skip here — the 4-row tile above has none, and which rows
             // land in which path depends on the panel split, so skipping
             // only here would make results (for non-finite operands)
@@ -771,12 +750,7 @@ fn matmul_panel(
                 let row = &mut c[ir * n + jc..ir * n + jc + jw];
                 let a_base = (i0 + ir) * k;
                 for (pp, p) in (pc..pc + pw).enumerate() {
-                    let b_row = &panel[pp * jw..pp * jw + jw];
-                    if simd {
-                        crate::simd::axpy(row, a[a_base + p], b_row);
-                    } else {
-                        crate::ops::axpy(row, a[a_base + p], b_row);
-                    }
+                    crate::simd::axpy(row, a[a_base + p], &panel[pp * jw..pp * jw + jw]);
                 }
                 ir += 1;
             }
@@ -784,19 +758,6 @@ fn matmul_panel(
     }
     if needs_pack {
         scratch.put_f64(packed);
-    }
-}
-
-/// Writes `out[j] = dot(x, y_row(jb + j))` for a block of rows of a
-/// row-major `(rows x d)` buffer `y`. In `Scalar` mode this is
-/// [`crate::ops::dot_block`] (bitwise identical to [`crate::ops::dot`]
-/// per row); `simd` delegates to [`crate::simd::dot_block`], whose
-/// 4-lane accumulation follows the lane-determinism contract instead.
-fn dot_block(x: &[f64], y: &[f64], d: usize, jb: usize, out: &mut [f64], simd: bool) {
-    if simd {
-        crate::simd::dot_block(x, y, d, jb, out);
-    } else {
-        crate::ops::dot_block(x, y, d, jb, out);
     }
 }
 

@@ -41,8 +41,8 @@ pub fn dot4(xs: [&[f64]; 4], ys: [&[f64]; 4]) -> [f64; 4] {
 /// row-major `(rows × d)` buffer `y`, four rows at a time through
 /// [`dot4`] so each loaded element of `x` feeds four accumulators; the
 /// last `out.len() % 4` rows use [`dot`]. Every output is bitwise
-/// [`dot`] of its row. This is the scalar kernel behind the blocked
-/// pairwise-distance products and every full nearest-centroid scan.
+/// [`dot`] of its row. This is the scalar kernel behind every full
+/// nearest-centroid scan.
 #[inline]
 pub fn dot_block(x: &[f64], y: &[f64], d: usize, jb: usize, out: &mut [f64]) {
     debug_assert_eq!(x.len(), d);
@@ -127,10 +127,9 @@ pub fn sub_assign(out: &mut [f64], a: &[f64]) {
 
 /// `out += alpha * a`, elementwise.
 ///
-/// The body is unrolled with `chunks_exact` into 4-wide blocks (this is
-/// the inner loop of the blocked matmul micro-kernel, so it must
-/// vectorize); each element is still a single mul-add, so the unroll
-/// never changes results.
+/// The body is unrolled with `chunks_exact` into 4-wide blocks so it
+/// vectorizes; each element is still a single multiply and add, so the
+/// unroll never changes results.
 #[inline]
 pub fn axpy(out: &mut [f64], alpha: f64, a: &[f64]) {
     debug_assert_eq!(out.len(), a.len());
@@ -265,16 +264,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Numerically-stable log-sum-exp.
-#[inline]
-pub fn log_sum_exp(values: &[f64]) -> f64 {
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        return max;
-    }
-    max + values.iter().map(|&v| (v - max).exp()).sum::<f64>().ln()
-}
-
 /// In-place stable softmax.
 #[inline]
 pub fn softmax_inplace(values: &mut [f64]) {
@@ -365,14 +354,6 @@ mod tests {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
         assert!((variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_sum_exp_stable() {
-        let v = [1000.0, 1000.0];
-        let lse = log_sum_exp(&v);
-        assert!((lse - (1000.0 + 2f64.ln())).abs() < 1e-9);
-        assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Runtime-dispatched lane kernels behind [`crate::exec::KernelMode::Simd`].
+//! Runtime-dispatched lane kernels: the one implementation of the
+//! blocked matrix products in [`crate::Matrix`] (`matmul*_with`,
+//! `pairwise_sqdist_with`).
 //!
 //! Every kernel here computes in **4-wide logical f64 lanes** with fused
 //! multiply-add, independent of the instruction set that executes it:
@@ -20,14 +22,15 @@
 //! reduction-index order, and never reassociate. Because every backend
 //! implements this same schedule with the same IEEE-754 fused ops, a
 //! kernel's output is **bitwise identical across backends, runs, thread
-//! counts, and tilings** — that is the `Simd`-mode determinism contract,
-//! asserted by the unit tests below and the `exec_determinism`
-//! integration tests. What `Simd` mode does *not* promise is bitwise
-//! equality with the `Scalar` oracle: lane-splitting reassociates dot
-//! products and `mul_add` rounds once where `a * b + c` rounds twice
-//! (proptests pin the two modes to 1e-10 relative agreement, and exact
-//! equality on power-of-two-friendly inputs where every operation is
-//! exact).
+//! counts, and tilings** — that is the determinism contract of the
+//! matrix products, asserted by the unit tests below and the
+//! `exec_determinism` integration tests. What the lanes do *not* promise
+//! is bitwise equality with a naive unfused loop (or with the scalar
+//! [`crate::ops::dot`] that assignment uses): lane-splitting
+//! reassociates dot products and `mul_add` rounds once where `a * b + c`
+//! rounds twice. The proptests pin the products to test-local naive
+//! loops at 1e-10 relative agreement, and bitwise on small-integer
+//! inputs where every operation is exact.
 //!
 //! Backend selection runs once per process ([`backend`]) and honors
 //! `KR_SIMD_BACKEND=portable` so CI exercises the fallback on AVX2
@@ -61,7 +64,7 @@ impl Backend {
     }
 }
 
-/// The backend every `Simd`-mode kernel dispatches to, detected once per
+/// The backend every lane kernel dispatches to, detected once per
 /// process and cached.
 ///
 /// `KR_SIMD_BACKEND=portable` forces the fallback (CI uses this to
@@ -152,7 +155,7 @@ pub fn fma_tile4(
 /// `a[0].len()` successive [`fma_tile4`] calls, but the accumulators
 /// stay in registers across the whole `p` loop instead of the output
 /// rows being re-walked through memory once per `p`. This is what makes
-/// the `Simd` matmul compute-bound rather than L1-traffic-bound.
+/// the blocked matmul compute-bound rather than L1-traffic-bound.
 ///
 /// `jw = r_i.len()` (all four rows equal), `pw = a[i].len()` (all four
 /// equal), and `panel` must hold at least `pw * jw` elements laid out

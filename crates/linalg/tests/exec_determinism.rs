@@ -1,17 +1,12 @@
-//! Worker-count determinism matrix for the blocked kernels, in **both**
-//! kernel modes.
+//! Worker-count determinism matrix for the blocked kernels.
 //!
 //! The `ExecCtx` contract promises that results are a pure function of
 //! the input — never of the worker count, pool reuse, or run number.
-//! `Simd` mode layers the lane-determinism contract on top (see
-//! `kr_linalg::simd`): the lane schedule is fixed, so vectorized results
-//! must be just as bitwise-stable as scalar ones. These tests pin each
-//! mode explicitly instead of inheriting `KR_KERNEL`, so a single test
-//! run covers both paths regardless of environment (the CI simd leg
-//! re-runs the whole suite under `KR_KERNEL=simd` anyway to cover the
-//! *default*-path plumbing).
+//! The lane kernels behind every blocked product (see `kr_linalg::simd`)
+//! have a fixed schedule, so their results must be bitwise-stable across
+//! all of those.
 
-use kr_linalg::{ExecCtx, KernelMode, Matrix};
+use kr_linalg::{ExecCtx, Matrix};
 
 /// Ragged-enough shapes to split unevenly across 2 and 8 workers and to
 /// exercise the panel kernels' vector and tail paths.
@@ -46,50 +41,41 @@ fn all_kernels(exec: &ExecCtx, m: usize, d: usize, n: usize) -> Vec<u64> {
     out
 }
 
-fn worker_matrix(mode: KernelMode) {
+#[test]
+fn exec_determinism_simd_1_2_8_workers() {
     for (m, d, n) in SHAPES {
-        let reference = all_kernels(&ExecCtx::serial().with_kernel_mode(mode), m, d, n);
+        let reference = all_kernels(&ExecCtx::serial(), m, d, n);
         // Same ctx again: run-to-run stability (scratch pools warm).
-        let again = all_kernels(&ExecCtx::serial().with_kernel_mode(mode), m, d, n);
-        assert_eq!(reference, again, "mode={mode:?} serial rerun ({m}x{d}x{n})");
+        let again = all_kernels(&ExecCtx::serial(), m, d, n);
+        assert_eq!(reference, again, "serial rerun ({m}x{d}x{n})");
         for workers in [1usize, 2, 8] {
-            let exec = ExecCtx::threaded(workers).with_kernel_mode(mode);
+            let exec = ExecCtx::threaded(workers);
             let got = all_kernels(&exec, m, d, n);
-            assert_eq!(
-                reference, got,
-                "mode={mode:?} workers={workers} ({m}x{d}x{n})"
-            );
+            assert_eq!(reference, got, "workers={workers} ({m}x{d}x{n})");
             // Reusing the ctx (and its pool + scratch arena) must not
             // perturb results either.
             let reused = all_kernels(&exec, m, d, n);
-            assert_eq!(reference, reused, "mode={mode:?} workers={workers} reuse");
+            assert_eq!(reference, reused, "workers={workers} reuse");
         }
     }
 }
 
 #[test]
-fn exec_determinism_scalar_1_2_8_workers() {
-    worker_matrix(KernelMode::Scalar);
-}
-
-#[test]
-fn exec_determinism_simd_1_2_8_workers() {
-    worker_matrix(KernelMode::Simd);
-}
-
-#[test]
-fn exec_determinism_modes_agree_on_exact_inputs() {
+fn exec_determinism_exact_inputs_match_unfused_naive() {
     // Small-integer entries make every product and sum exact, so the
-    // fused (Simd) and unfused (Scalar) schedules must agree bitwise —
-    // across every worker count at once.
+    // fused lane schedule must agree bitwise with an unfused naive
+    // loop — across every worker count at once.
     let a = Matrix::from_fn(13, 7, |i, j| ((i * 7 + j * 3) % 9) as f64 - 4.0);
     let b = Matrix::from_fn(7, 11, |i, j| ((i * 5 + j) % 7) as f64 - 3.0);
-    let reference = a
-        .matmul_with(&b, &ExecCtx::serial().with_kernel_mode(KernelMode::Scalar))
-        .unwrap();
+    let reference = Matrix::from_fn(13, 11, |i, j| {
+        let mut acc = 0.0f64;
+        for p in 0..7 {
+            acc += a.get(i, p) * b.get(p, j);
+        }
+        acc
+    });
     for workers in [1usize, 2, 8] {
-        let exec = ExecCtx::threaded(workers).with_kernel_mode(KernelMode::Simd);
-        let got = a.matmul_with(&b, &exec).unwrap();
+        let got = a.matmul_with(&b, &ExecCtx::threaded(workers)).unwrap();
         assert_eq!(bits(&reference), bits(&got), "workers={workers}");
     }
 }

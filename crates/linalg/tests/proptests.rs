@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use kr_linalg::{ops, ExecCtx, KernelMode, Matrix};
+use kr_linalg::{ops, simd, ExecCtx, Matrix};
 use proptest::prelude::*;
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -27,6 +27,34 @@ fn matrix_pair_same_shape(max_dim: usize) -> impl Strategy<Value = (Matrix, Matr
 /// products come out `-0.0` and the accumulator's starting value shows.
 fn zero_heavy() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0f64), Just(-0.0f64), -4.0..4.0f64]
+}
+
+/// Test-local oracle: the textbook unfused triple loop, ascending `p`
+/// per element (`acc += a * b`, two roundings per step).
+fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.nrows(), b.ncols(), |i, j| {
+        let mut acc = 0.0f64;
+        for p in 0..a.ncols() {
+            acc += a.get(i, p) * b.get(p, j);
+        }
+        acc
+    })
+}
+
+/// Test-local oracle for the pairwise kernel: the same norm expansion
+/// `(‖x‖² + ‖c‖² − 2 x·c).max(0)`, every sum an unfused ascending loop.
+fn naive_pairwise(x: &Matrix, c: &Matrix) -> Matrix {
+    let dots = naive_matmul(x, &c.transpose());
+    let norm = |r: &[f64]| {
+        let mut acc = 0.0f64;
+        for &v in r {
+            acc += v * v;
+        }
+        acc
+    };
+    Matrix::from_fn(x.nrows(), c.nrows(), |i, j| {
+        (norm(x.row(i)) + norm(c.row(j)) - 2.0 * dots.get(i, j)).max(0.0)
+    })
 }
 
 fn approx_eq(a: &Matrix, b: &Matrix, tol: f64) -> bool {
@@ -149,45 +177,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_matmul_equals_naive(
-        (a, b) in (1usize..12, 1usize..12, 1usize..12).prop_flat_map(|(m, k, n)| {
-            let a = proptest::collection::vec(-100.0..100.0f64, m * k)
-                .prop_map(move |v| Matrix::from_vec(m, k, v).unwrap());
-            let b = proptest::collection::vec(-100.0..100.0f64, k * n)
-                .prop_map(move |v| Matrix::from_vec(k, n, v).unwrap());
-            (a, b)
-        }),
-        threads in 1usize..5,
-    ) {
-        // Reference: textbook triple loop, ascending-k accumulation per
-        // element — the order the blocked kernel guarantees bitwise.
-        let (m, k) = a.shape();
-        let n = b.ncols();
-        let mut naive = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a.get(i, p) * b.get(p, j);
-                }
-                naive.set(i, j, acc);
-            }
-        }
-        // Pin `Scalar` explicitly: the naive reference above uses
-        // unfused `acc += a * b`, which only the scalar kernel matches
-        // bitwise (`KR_KERNEL=simd` would flip the env default).
-        let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
-        let blocked = a.matmul_with(&b, &scalar).unwrap();
-        prop_assert_eq!(&blocked, &naive);
-        // Tiny tiles force every panel boundary; threads exercise the
-        // pool. Both must still be bitwise identical.
-        let ctx = ExecCtx::threaded(threads)
-            .with_kernel_mode(KernelMode::Scalar)
-            .with_tiling(kr_linalg::Tiling { mc: 3, kc: 2, nc: 5 });
-        prop_assert_eq!(&a.matmul_with(&b, &ctx).unwrap(), &naive);
-    }
-
-    #[test]
     fn blocked_kernels_thread_and_tile_invariant(
         (a, b) in (1usize..10, 1usize..10, 1usize..10).prop_flat_map(|(m, k, n)| {
             let a = proptest::collection::vec(-50.0..50.0f64, m * k)
@@ -214,9 +203,9 @@ proptest! {
         );
     }
 
-    /// `Simd` matmul fuses each multiply-add but keeps the per-element
-    /// ascending-`k` order, so it matches a naive loop that uses
-    /// `mul_add` bitwise — across threads and tile boundaries.
+    /// The blocked matmul fuses each multiply-add but keeps the
+    /// per-element ascending-`k` order, so it matches a naive loop that
+    /// uses `mul_add` bitwise — across threads and tile boundaries.
     #[test]
     fn simd_matmul_equals_fused_naive(
         (a, b) in (1usize..12, 1usize..12, 1usize..12).prop_flat_map(|(m, k, n)| {
@@ -240,17 +229,15 @@ proptest! {
                 naive.set(i, j, acc);
             }
         }
-        let simd = ExecCtx::serial().with_kernel_mode(KernelMode::Simd);
-        prop_assert_eq!(&a.matmul_with(&b, &simd).unwrap(), &naive);
+        prop_assert_eq!(&a.matmul(&b).unwrap(), &naive);
         let ctx = ExecCtx::threaded(threads)
-            .with_kernel_mode(KernelMode::Simd)
             .with_tiling(kr_linalg::Tiling { mc: 3, kc: 2, nc: 5 });
         prop_assert_eq!(&a.matmul_with(&b, &ctx).unwrap(), &naive);
     }
 
-    /// Every `Simd` kernel agrees with its `Scalar` oracle to 1e-10
-    /// relative tolerance on ragged shapes, including inner dimensions
-    /// below the 4-wide lane width.
+    /// Every blocked product agrees with its test-local unfused naive
+    /// loop to 1e-10 relative tolerance on ragged shapes, including
+    /// inner dimensions below the 4-wide lane width.
     #[test]
     fn simd_kernels_match_scalar_oracle(
         (a, b) in (1usize..16, 1usize..9, 1usize..16).prop_flat_map(|(m, d, n)| {
@@ -261,18 +248,13 @@ proptest! {
             (a, b)
         }),
     ) {
-        let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
-        let simd = ExecCtx::serial().with_kernel_mode(KernelMode::Simd);
         let tol = 1e-10;
+        let abt = naive_matmul(&a, &b.transpose());
         let pairs = [
-            (a.matmul_with(&b.transpose(), &scalar).unwrap(),
-             a.matmul_with(&b.transpose(), &simd).unwrap()),
-            (a.matmul_transpose_b_with(&b, &scalar).unwrap(),
-             a.matmul_transpose_b_with(&b, &simd).unwrap()),
-            (a.matmul_transpose_a_with(&a, &scalar).unwrap(),
-             a.matmul_transpose_a_with(&a, &simd).unwrap()),
-            (a.pairwise_sqdist_with(&b, &scalar).unwrap(),
-             a.pairwise_sqdist_with(&b, &simd).unwrap()),
+            (abt.clone(), a.matmul(&b.transpose()).unwrap()),
+            (abt, a.matmul_transpose_b(&b).unwrap()),
+            (naive_matmul(&a.transpose(), &a), a.matmul_transpose_a(&a).unwrap()),
+            (naive_pairwise(&a, &b), a.pairwise_sqdist(&b).unwrap()),
         ];
         for (s, v) in &pairs {
             prop_assert!(approx_eq(s, v, tol));
@@ -280,8 +262,8 @@ proptest! {
     }
 
     /// On small-integer inputs every product and partial sum is exactly
-    /// representable, so fusing and lane-splitting change nothing:
-    /// `Simd` equals `Scalar` bitwise.
+    /// representable, so fusing and lane-splitting change nothing: the
+    /// blocked products equal the unfused naive loops bitwise.
     #[test]
     fn simd_exact_on_integer_inputs(
         (a, b) in (1usize..10, 1usize..10, 1usize..10).prop_flat_map(|(m, d, n)| {
@@ -296,19 +278,13 @@ proptest! {
             (a, b)
         }),
     ) {
-        let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
-        let simd = ExecCtx::serial().with_kernel_mode(KernelMode::Simd);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let abt = bits(&naive_matmul(&a, &b.transpose()));
+        prop_assert_eq!(&abt, &bits(&a.matmul(&b.transpose()).unwrap()));
+        prop_assert_eq!(&abt, &bits(&a.matmul_transpose_b(&b).unwrap()));
         prop_assert_eq!(
-            a.matmul_with(&b.transpose(), &scalar).unwrap(),
-            a.matmul_with(&b.transpose(), &simd).unwrap()
-        );
-        prop_assert_eq!(
-            a.matmul_transpose_b_with(&b, &scalar).unwrap(),
-            a.matmul_transpose_b_with(&b, &simd).unwrap()
-        );
-        prop_assert_eq!(
-            a.pairwise_sqdist_with(&b, &scalar).unwrap(),
-            a.pairwise_sqdist_with(&b, &simd).unwrap()
+            bits(&naive_pairwise(&a, &b)),
+            bits(&a.pairwise_sqdist(&b).unwrap())
         );
     }
 }
@@ -347,11 +323,15 @@ proptest! {
         }
     }
 
-    /// The same pin through the public blocked product: every entry of a
-    /// `Scalar` `matmul_transpose_b` carries the bits of `ops::dot`.
+    /// Pins the expressions of the public blocked products: every entry
+    /// of `matmul_transpose_b_with` is bitwise `simd::dot1` of its rows,
+    /// and every entry of `pairwise_sqdist_with` is bitwise
+    /// `(‖x‖² + ‖c‖² − 2·simd::dot1(x, c)).max(0)` with the norms from
+    /// `ops::dot`. Signed zeros, `d = 0` and row counts that are not
+    /// multiples of 4 included.
     #[test]
-    fn scalar_matmul_transpose_b_is_bitwise_ops_dot(
-        (a, b) in (1usize..7, 1usize..6, 1usize..11).prop_flat_map(|(m, d, n)| {
+    fn blocked_products_are_bitwise_lane_dot1(
+        (a, b) in (1usize..7, 0usize..6, 1usize..11).prop_flat_map(|(m, d, n)| {
             let a = proptest::collection::vec(zero_heavy(), m * d)
                 .prop_map(move |v| Matrix::from_vec(m, d, v).unwrap());
             let b = proptest::collection::vec(zero_heavy(), n * d)
@@ -359,12 +339,18 @@ proptest! {
             (a, b)
         }),
     ) {
-        let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
-        let prod = a.matmul_transpose_b_with(&b, &scalar).unwrap();
+        let exec = ExecCtx::serial();
+        let prod = a.matmul_transpose_b_with(&b, &exec).unwrap();
+        let dist = a.pairwise_sqdist_with(&b, &exec).unwrap();
         for i in 0..a.nrows() {
             for j in 0..b.nrows() {
-                let (got, want) = (prod.get(i, j), ops::dot(a.row(i), b.row(j)));
-                prop_assert!(got.to_bits() == want.to_bits(), "({i}, {j}): {got:?} vs {want:?}");
+                let (x, c) = (a.row(i), b.row(j));
+                let dot = simd::dot1(x, c);
+                let got = prod.get(i, j);
+                prop_assert!(got.to_bits() == dot.to_bits(), "dot ({i}, {j}): {got:?} vs {dot:?}");
+                let want = (ops::dot(x, x) + ops::dot(c, c) - 2.0 * dot).max(0.0);
+                let got = dist.get(i, j);
+                prop_assert!(got.to_bits() == want.to_bits(), "dist ({i}, {j}): {got:?} vs {want:?}");
             }
         }
     }

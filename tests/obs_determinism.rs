@@ -1,8 +1,8 @@
 //! The observability determinism contract, CI-enforced: with the `obs`
 //! feature compiled in and a recorder attached, every numeric result is
 //! **bitwise identical** to the recorder-free run — at 1/2/8 pool
-//! workers, in both kernel modes, with pruning off and with Elkan
-//! bounds — and each instrumented subsystem produces a non-empty,
+//! workers, with pruning off and with Elkan bounds — and each
+//! instrumented subsystem produces a non-empty,
 //! schema-valid JSONL trace.
 //!
 //! The comparison here is recorder-attached vs. recorder-absent within
@@ -20,16 +20,15 @@ use khatri_rao_clustering::prelude::*;
 use kr_datasets::synthetic::{kr_structured, StructureKind};
 use kr_federated::faults::{self, FaultPlan};
 use kr_federated::{Algo, FederatedServer, Resilience};
-use kr_linalg::{KernelMode, PruneMode};
+use kr_linalg::PruneMode;
 use std::sync::Arc;
 
 /// The worker counts the acceptance criteria pin.
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-fn exec_with(workers: usize, kernel: KernelMode, prune: PruneMode) -> ExecCtx {
+fn exec_with(workers: usize, prune: PruneMode) -> ExecCtx {
     ExecCtx::threaded(workers + 1)
         .with_pool(Arc::new(ThreadPool::new(workers)))
-        .with_kernel_mode(kernel)
         .with_prune_mode(prune)
 }
 
@@ -49,54 +48,52 @@ fn assert_valid_trace(snapshot: &obs::Snapshot, expect_names: &[&str]) {
 }
 
 #[test]
-fn krkmeans_fit_is_bitwise_invisible_across_workers_kernels_prune() {
+fn krkmeans_fit_is_bitwise_invisible_across_workers_prune() {
     let (ds, _, _) = kr_structured(3, 2, 30, 0.2, StructureKind::Additive, 41);
     for workers in WORKERS {
-        for kernel in [KernelMode::Scalar, KernelMode::Simd] {
-            for prune in [PruneMode::Off, PruneMode::Elkan] {
-                let ctx = format!("workers={workers} kernel={kernel:?} prune={prune:?}");
-                let fit = || {
-                    KrKMeans::new(vec![3, 2])
-                        .with_seed(3)
-                        .with_n_init(2)
-                        .with_exec(exec_with(workers, kernel, prune))
-                        .fit(&ds.data)
-                        .unwrap()
-                };
-                let silent = fit();
-                let recorder = obs::Recorder::install_virtual();
-                let recorded = fit();
-                let snapshot = recorder.snapshot();
-                drop(recorder);
+        for prune in [PruneMode::Off, PruneMode::Elkan] {
+            let ctx = format!("workers={workers} prune={prune:?}");
+            let fit = || {
+                KrKMeans::new(vec![3, 2])
+                    .with_seed(3)
+                    .with_n_init(2)
+                    .with_exec(exec_with(workers, prune))
+                    .fit(&ds.data)
+                    .unwrap()
+            };
+            let silent = fit();
+            let recorder = obs::Recorder::install_virtual();
+            let recorded = fit();
+            let snapshot = recorder.snapshot();
+            drop(recorder);
 
-                assert_eq!(silent.labels, recorded.labels, "{ctx}: labels");
-                assert_eq!(
-                    silent.inertia.to_bits(),
-                    recorded.inertia.to_bits(),
-                    "{ctx}: inertia"
-                );
-                for (a, b) in silent
-                    .protocentroids
-                    .iter()
-                    .zip(recorded.protocentroids.iter())
-                {
-                    assert_eq!(a, b, "{ctx}: protocentroids");
-                }
-                assert_eq!(
-                    silent.centroids(),
-                    recorded.centroids(),
-                    "{ctx}: assembled centroids"
-                );
-                let mut expect = vec!["krkmeans.seed", "krkmeans.lloyd", "assign.pass"];
-                if prune == PruneMode::Elkan {
-                    expect.push("assign.dists_skipped");
-                }
-                assert_valid_trace(&snapshot, &expect);
-                assert!(
-                    !snapshot.span_durations("krkmeans.lloyd").is_empty(),
-                    "{ctx}: lloyd span never closed"
-                );
+            assert_eq!(silent.labels, recorded.labels, "{ctx}: labels");
+            assert_eq!(
+                silent.inertia.to_bits(),
+                recorded.inertia.to_bits(),
+                "{ctx}: inertia"
+            );
+            for (a, b) in silent
+                .protocentroids
+                .iter()
+                .zip(recorded.protocentroids.iter())
+            {
+                assert_eq!(a, b, "{ctx}: protocentroids");
             }
+            assert_eq!(
+                silent.centroids(),
+                recorded.centroids(),
+                "{ctx}: assembled centroids"
+            );
+            let mut expect = vec!["krkmeans.seed", "krkmeans.lloyd", "assign.pass"];
+            if prune == PruneMode::Elkan {
+                expect.push("assign.dists_skipped");
+            }
+            assert_valid_trace(&snapshot, &expect);
+            assert!(
+                !snapshot.span_durations("krkmeans.lloyd").is_empty(),
+                "{ctx}: lloyd span never closed"
+            );
         }
     }
 }
@@ -109,7 +106,7 @@ fn kmeans_fit_is_bitwise_invisible() {
             KMeans::new(6)
                 .with_seed(2)
                 .with_n_init(3)
-                .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::Elkan))
+                .with_exec(exec_with(workers, PruneMode::Elkan))
                 .fit(&ds.data)
                 .unwrap()
         };
@@ -134,7 +131,7 @@ fn minibatch_stream_is_bitwise_invisible() {
     let run = |workers: usize| {
         let mut s = MiniBatchKrKMeans::new(vec![5, 2])
             .with_seed(11)
-            .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::Elkan));
+            .with_exec(exec_with(workers, PruneMode::Elkan));
         for b in 0..12 {
             let batch = ds
                 .data
@@ -159,7 +156,7 @@ fn minibatch_stream_is_bitwise_invisible() {
         let recorder = obs::Recorder::install_virtual();
         let mut s = MiniBatchKrKMeans::new(vec![5, 2])
             .with_seed(11)
-            .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::Elkan));
+            .with_exec(exec_with(workers, PruneMode::Elkan));
         let mut events = Vec::new();
         let mut dropped = 0u64;
         for b in 0..12 {
@@ -249,7 +246,7 @@ fn faulted_quorum_federated_round_is_bitwise_invisible() {
     let client_of: Vec<usize> = (0..n).map(|i| i % 5).collect();
     let shards = kr_federated::shard_by_assignment(&ds.data, &client_of, 5);
     let run = |workers: usize| {
-        let exec = exec_with(workers, KernelMode::Simd, PruneMode::Off);
+        let exec = exec_with(workers, PruneMode::Off);
         let plan = Arc::new(FaultPlan::seeded_drops(41, 5, 6, 0.3));
         let server = FederatedServer::new(
             Algo::KrFkm {
