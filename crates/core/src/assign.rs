@@ -58,6 +58,16 @@
 //! Hamerly's runner-up and seed Elkan's lower bounds through
 //! `score − E`. EXPERIMENTS.md ("Blocked and factored scans") derives `E`.
 //!
+//! ## Stateless batch scans
+//!
+//! [`scan_grid`] runs the same full scan once over points it has not
+//! seen before, with no bound state: the mini-batch stream's path, where
+//! every batch is new data and no per-point bound would outlive it. It
+//! is one chunk-parallel pass whose buffers come from the `ExecCtx`
+//! [`Scratch`] arena, so a batch builds no engine. Sum grids take the
+//! factored filter, other grids the blocked scan, and `PruneMode::Off`
+//! the exhaustive scan; all three give the exhaustive bits.
+//!
 //! ## Bound structures
 //!
 //! * **Hamerly** (large `k`): one lower bound per point on the distance
@@ -1519,11 +1529,6 @@ impl FullScan<'_> {
 /// split, so results are identical at any thread count. Each point's
 /// dots run four centroids at a time through [`ops::dot_block`], bitwise
 /// the one-at-a-time `ops::dot`.
-///
-/// All temporaries come from `exec`'s [`Scratch`] arena: the centroid
-/// norms, one dot buffer per chunk, and an interleaved `(label, dmin)`
-/// buffer of `2n` f64 rows (labels round-trip exactly through f64 below
-/// 2^53).
 pub(crate) fn exhaustive_dense(
     data: &Matrix,
     centroids: &Matrix,
@@ -1532,8 +1537,52 @@ pub(crate) fn exhaustive_dense(
     exec: &ExecCtx,
     stats: Option<&SharedStats>,
 ) {
+    full_scan_pass(data, centroids, None, labels, dmin, exec, stats);
+}
+
+/// One stateless nearest-candidate pass over a materialized grid
+/// `grid = khatri_rao(sets, agg)`, for callers whose points are new on
+/// every call (a mini-batch stream), so that no per-point bound would
+/// outlive the pass. Under a bounded [`PruneMode`] every point runs the
+/// engine's full scan: the factored filter when `agg` is the Sum
+/// aggregator and it applies (module docs, "Blocked and factored
+/// scans"), otherwise the blocked scan; `PruneMode::Off` runs the
+/// exhaustive scan. Labels and `dmin` are bitwise the exhaustive scan's
+/// in every mode and at any worker count. Returns the pass's counters.
+pub fn scan_grid(
+    data: &Matrix,
+    grid: &Matrix,
+    sets: &[Matrix],
+    agg: Aggregator,
+    labels: &mut [usize],
+    dmin: &mut [f64],
+    exec: &ExecCtx,
+) -> PruneStats {
+    let _pass = kr_obs::span!("assign.pass", "k" => grid.nrows());
+    let stats = SharedStats::default();
+    let factored = exec.prune_mode() != PruneMode::Off && agg == Aggregator::Sum;
+    let sets = if factored { Some(sets) } else { None };
+    full_scan_pass(data, grid, sets, labels, dmin, exec, Some(&stats));
+    stats.snapshot()
+}
+
+/// A full scan of every point of `data` against `centroids`, through the
+/// factored filter over `sets` when given and applicable, else blocked.
+/// Chunk-parallel; all temporaries come from `exec`'s [`Scratch`] arena:
+/// the centroid norms, one work buffer per chunk, and an interleaved
+/// `(label, dmin)` buffer of `2n` f64 rows (labels round-trip exactly
+/// through f64 below 2^53).
+fn full_scan_pass(
+    data: &Matrix,
+    centroids: &Matrix,
+    sets: Option<&[Matrix]>,
+    labels: &mut [usize],
+    dmin: &mut [f64],
+    exec: &ExecCtx,
+    stats: Option<&SharedStats>,
+) {
     let n = data.nrows();
-    let k = centroids.nrows();
+    let (k, m) = centroids.shape();
     debug_assert_eq!(labels.len(), n);
     debug_assert_eq!(dmin.len(), n);
     debug_assert!(
@@ -1543,28 +1592,40 @@ pub(crate) fn exhaustive_dense(
     let scratch = exec.scratch();
     let mut c_norms = scratch.take_f64_uninit(0);
     centroids.row_sq_norms_into(&mut c_norms);
+    let filter = sets.and_then(|s| {
+        let mut max_c = 0.0;
+        for &v in c_norms.iter() {
+            if v > max_c {
+                max_c = v;
+            }
+        }
+        SumFilter::new(s, k, m, max_c)
+    });
+    // `err` only feeds bound outputs, which a stateless pass discards.
     let scan = FullScan {
         centroids,
         c_norms: &c_norms,
         err: 0.0,
-        filter: None,
+        filter,
     };
     // Width-2 rows, every element written before the read-back below.
     let mut buf = scratch.take_f64_uninit(2 * n);
     parallel::map_rows_into(exec, &mut buf, 2, 1, |start, chunk| {
-        let mut dots = scratch.take_f64_uninit(k);
-        let mut rows = 0u64;
+        let mut work = scratch.take_f64_uninit(scan.buf_len());
+        let (mut comp, mut skip) = (0u64, 0u64);
         for (off, out) in chunk.chunks_exact_mut(2).enumerate() {
             let x = data.row(start + off);
-            let o = scan.scan_blocked(x, ops::sq_norm(x), None, &mut dots, None);
+            let xn = ops::sq_norm(x);
+            let o = scan.scan(x, xn, norm_upper(xn, m), None, &mut work, None);
             out[0] = o.best as f64;
             out[1] = o.best_d.max(0.0);
-            rows += 1;
+            comp += o.comp;
+            skip += o.skip;
         }
         if let Some(s) = stats {
-            s.add(rows * k as u64, 0, 0);
+            s.add(comp, skip, 0);
         }
-        scratch.put_f64(dots);
+        scratch.put_f64(work);
     });
     for (i, pair) in buf.chunks_exact(2).enumerate() {
         labels[i] = pair[0] as usize;
@@ -1643,211 +1704,6 @@ pub(crate) fn exhaustive_otf(
     scratch.put_f64(state);
     scratch.put_f64(x_norms);
 }
-
-/// Persistent center–center lower bounds for streaming assignment.
-///
-/// Mini-batch fitters call [`CcBounds::sync`] once per batch with the
-/// current centroids and then [`CcBounds::assign`] on the batch. `sync`
-/// measures the exact per-centroid drift since the previous snapshot
-/// and *decays* the stored pairwise lower bounds by it (each entry
-/// `cc[a][b]` shrinks by `drift_a + drift_b`, the triangle-inequality
-/// worst case), so bounds stay valid across arbitrarily many batches
-/// without a rebuild. When the accumulated decay exceeds a quarter of
-/// the mean off-diagonal separation measured at build time the bounds
-/// have lost most of their pruning power, and the matrix is rebuilt
-/// from exact pairwise distances (counted in [`CcBounds::rebuilds`] —
-/// the drift-invalidation regression test pins this trigger).
-///
-/// `assign` is bitwise identical to the exhaustive scan in
-/// `exhaustive_dense`: candidates are visited in the same ascending
-/// order with the same raw kernel expression, and a candidate is
-/// skipped only when its certified floor strictly exceeds the
-/// already-computed running best.
-#[derive(Debug, Clone, Default)]
-pub struct CcBounds {
-    k: usize,
-    m: usize,
-    prev: Vec<f64>,
-    cc: Vec<f64>,
-    drift: Vec<f64>,
-    cc_scale: f64,
-    decay_budget: f64,
-    rebuilds: u64,
-    stats: PruneStats,
-}
-
-impl CcBounds {
-    /// Refreshes the bounds against the current centroids: measures
-    /// drift since the last snapshot, decays the pairwise lower bounds,
-    /// and rebuilds them outright when the decay budget is exhausted
-    /// (or the centroid shape changed).
-    pub fn sync(&mut self, centroids: &Matrix) {
-        let (k, m) = centroids.shape();
-        if self.k != k || self.m != m || self.prev.is_empty() {
-            self.k = k;
-            self.m = m;
-            self.prev.clear();
-            self.prev.resize(k * m, 0.0);
-            self.cc.clear();
-            self.cc.resize(k * k, 0.0);
-            self.drift.clear();
-            self.drift.resize(k, 0.0);
-            self.rebuild(centroids);
-            return;
-        }
-        let mut dmax = 0.0;
-        for c in 0..k {
-            let d = drift_upper(ops::sqdist(
-                &self.prev[c * m..(c + 1) * m],
-                centroids.row(c),
-            ));
-            self.drift[c] = d;
-            if d > dmax {
-                dmax = d;
-            }
-        }
-        self.decay_budget += dmax;
-        if self.decay_budget > 0.25 * self.cc_scale {
-            self.rebuild(centroids);
-            return;
-        }
-        for a in 0..k {
-            for b in 0..k {
-                if a != b {
-                    self.cc[a * k + b] =
-                        decay_lower(self.cc[a * k + b], self.drift[a] + self.drift[b]);
-                }
-            }
-        }
-        self.stats.bound_updates += (k * k) as u64;
-        self.snapshot(centroids);
-    }
-
-    fn rebuild(&mut self, centroids: &Matrix) {
-        let k = self.k;
-        for a in 0..k {
-            for b in (a + 1)..k {
-                let lo = cc_lower(ops::sqdist(centroids.row(a), centroids.row(b)));
-                self.cc[a * k + b] = lo;
-                self.cc[b * k + a] = lo;
-            }
-        }
-        // Mean off-diagonal separation: the scale against which decay
-        // is budgeted. Manual accumulation (ordered, fold-free).
-        let mut acc = 0.0;
-        let mut cnt = 0u64;
-        for a in 0..k {
-            for b in 0..k {
-                if a != b {
-                    acc += self.cc[a * k + b];
-                    cnt += 1;
-                }
-            }
-        }
-        self.cc_scale = if cnt > 0 { acc / cnt as f64 } else { 0.0 };
-        self.decay_budget = 0.0;
-        self.rebuilds += 1;
-        self.stats.bound_updates += (k * k) as u64;
-        self.snapshot(centroids);
-    }
-
-    fn snapshot(&mut self, centroids: &Matrix) {
-        let m = self.m;
-        for c in 0..self.k {
-            self.prev[c * m..(c + 1) * m].copy_from_slice(centroids.row(c));
-        }
-    }
-
-    /// Nearest-centroid assignment for one batch, gated by the
-    /// persistent bounds. Bitwise identical to `exhaustive_dense` on
-    /// the same inputs.
-    pub fn assign(&mut self, data: &Matrix, centroids: &Matrix, exec: &ExecCtx) -> AssignOut {
-        let n = data.nrows();
-        let k = self.k;
-        let m = self.m;
-        debug_assert_eq!(centroids.shape(), (k, m), "sync before assign");
-        let scratch = exec.scratch();
-        let mut c_norms = scratch.take_f64_uninit(0);
-        centroids.row_sq_norms_into(&mut c_norms);
-        let mut max_c_sq = 0.0;
-        for &v in c_norms.iter() {
-            if v > max_c_sq {
-                max_c_sq = v;
-            }
-        }
-        let mut x_norms = scratch.take_f64_uninit(0);
-        data.row_sq_norms_into(&mut x_norms);
-        let mut max_x_sq = 0.0;
-        for &v in x_norms.iter() {
-            if v > max_x_sq {
-                max_x_sq = v;
-            }
-        }
-        let err = kernel_error_bound(m, max_x_sq, max_c_sq);
-        let shared = SharedStats::default();
-        let cc = &self.cc;
-        let x_norms_ref = &x_norms;
-        let mut buf = scratch.take_f64_uninit(2 * n);
-        parallel::map_rows_into(exec, &mut buf, 2, 1, |start, chunk| {
-            let mut comp = 0u64;
-            let mut skip = 0u64;
-            for (off, out) in chunk.chunks_exact_mut(2).enumerate() {
-                let x = data.row(start + off);
-                let xn = x_norms_ref[start + off];
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                let mut u = f64::INFINITY;
-                for (c, crow) in centroids.rows_iter().enumerate() {
-                    if c > 0 && best_d < f64::INFINITY {
-                        // d(x, c) ≥ d(best, c) − d(x, best): when the
-                        // certified floor beats the running best the
-                        // exact value cannot win the strict-< argmin.
-                        let lb = cc[best * k + c] - u;
-                        if certified_floor(lb, err) > best_d {
-                            skip += 1;
-                            continue;
-                        }
-                    }
-                    let d = xn + c_norms[c] - 2.0 * ops::dot(x, crow);
-                    comp += 1;
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                        u = dist_upper(d, err);
-                    }
-                }
-                out[0] = best as f64;
-                out[1] = best_d.max(0.0);
-            }
-            shared.add(comp, skip, 0);
-        });
-        let mut labels = vec![0usize; n];
-        let mut dmin = vec![0.0; n];
-        for (i, pair) in buf.chunks_exact(2).enumerate() {
-            labels[i] = pair[0] as usize;
-            dmin[i] = pair[1];
-        }
-        scratch.put_f64(buf);
-        scratch.put_f64(x_norms);
-        scratch.put_f64(c_norms);
-        self.stats.merge(shared.snapshot());
-        (labels, dmin)
-    }
-
-    /// Cumulative pruning counters across every batch since creation.
-    pub fn stats(&self) -> PruneStats {
-        self.stats
-    }
-
-    /// How many times the pairwise bound matrix was rebuilt from exact
-    /// distances (including the initial build).
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-}
-
-/// `(labels, dmin)` pair returned by [`CcBounds::assign`].
-pub type AssignOut = (Vec<usize>, Vec<f64>);
 
 #[cfg(test)]
 mod tests {
@@ -2112,36 +1968,66 @@ mod tests {
         }
     }
 
-    /// Persistent streaming bounds: bitwise-exhaustive across drifting
-    /// batches, with measured drift eventually forcing a rebuild.
+    /// The stateless grid scan: bitwise the exhaustive scan in every
+    /// prune mode and at 1/2/8 threads, over drifting factor sets with a
+    /// duplicated protocentroid (ties), for both aggregators. Under the
+    /// bounded modes the Sum grid runs the factored filter — Σh dots plus
+    /// the verbatim re-evaluations per point, the rest rejected — and the
+    /// Product grid the blocked scan.
     #[test]
-    fn cc_bounds_match_exhaustive_and_rebuild_on_drift() {
-        let exec = ExecCtx::serial();
-        let data = Matrix::from_fn(80, 3, |i, j| ((i * 5 + j * 2) % 21) as f64 * 0.4);
-        let mut centroids = Matrix::from_fn(6, 3, |i, j| ((i * 3 + j) % 9) as f64 * 1.1);
-        let mut cc = CcBounds::default();
-        for it in 0..6 {
-            cc.sync(&centroids);
-            let (labels, dmin) = cc.assign(&data, &centroids, &exec);
-            let mut rl = vec![0usize; 80];
-            let mut rd = vec![0.0f64; 80];
-            exhaustive_dense(&data, &centroids, &mut rl, &mut rd, &exec, None);
-            assert_eq!(labels, rl, "iter {it}");
-            for (a, b) in dmin.iter().zip(rd.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "iter {it}");
-            }
-            // Iterations 0-2: small drift (bounds decay and survive).
-            // Iterations 3+: violent drift (decay budget exhausted).
-            let step = if it < 3 { 0.01 } else { 5.0 };
-            for c in 0..centroids.nrows() {
-                for v in centroids.row_mut(c).iter_mut() {
-                    *v += step;
+    fn scan_grid_matches_exhaustive_bitwise() {
+        use crate::operator::khatri_rao;
+        let (n, m) = (70, 3);
+        let data = Matrix::from_fn(n, m, |i, j| ((i * 5 + j * 2) % 21) as f64 * 0.4);
+        for agg in [Aggregator::Sum, Aggregator::Product] {
+            let mut sets = vec![
+                Matrix::from_fn(3, m, |i, j| ((i * 3 + j) % 5) as f64 * 1.3),
+                Matrix::from_fn(4, m, |i, j| {
+                    let r = if i == 3 { 1 } else { i };
+                    ((r + j * 2) % 4) as f64 * 0.7 + 0.1
+                }),
+            ];
+            for it in 0..4 {
+                let grid = khatri_rao(&sets, agg).unwrap();
+                let k = grid.nrows();
+                let mut rl = vec![0usize; n];
+                let mut rd = vec![0.0f64; n];
+                exhaustive_dense(&data, &grid, &mut rl, &mut rd, &ExecCtx::serial(), None);
+                for mode in [
+                    PruneMode::Off,
+                    PruneMode::Auto,
+                    PruneMode::Hamerly,
+                    PruneMode::Elkan,
+                ] {
+                    for threads in [1usize, 2, 8] {
+                        let exec = ExecCtx::threaded(threads).with_prune_mode(mode);
+                        let mut labels = vec![0usize; n];
+                        let mut dmin = vec![0.0f64; n];
+                        let stats =
+                            scan_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin, &exec);
+                        let at = format!("agg {agg:?} iter {it} mode {mode:?} threads {threads}");
+                        assert_eq!(labels, rl, "{at}");
+                        for (a, b) in dmin.iter().zip(rd.iter()) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                        }
+                        let total = stats.dists_computed + stats.dists_skipped;
+                        if agg == Aggregator::Sum && mode != PruneMode::Off {
+                            assert_eq!(total, (n * (k + 7)) as u64, "{at}");
+                            assert!(stats.dists_skipped > 0, "{at}");
+                        } else {
+                            assert_eq!(stats.dists_computed, (n * k) as u64, "{at}");
+                            assert_eq!(stats.dists_skipped, 0, "{at}");
+                        }
+                    }
+                }
+                for s in sets.iter_mut() {
+                    for r in 0..s.nrows() {
+                        for v in s.row_mut(r).iter_mut() {
+                            *v = 0.9 * *v + 0.05 * it as f64;
+                        }
+                    }
                 }
             }
         }
-        assert!(cc.rebuilds() >= 2, "rebuilds {}", cc.rebuilds());
-        let stats = cc.stats();
-        assert!(stats.dists_computed > 0);
-        assert!(stats.bound_updates > 0);
     }
 }

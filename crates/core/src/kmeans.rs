@@ -385,8 +385,9 @@ pub(crate) fn plus_plus_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matri
 /// Calls `f(i, sqdist(x_i, c))` for every row `x_i` of `data` in
 /// ascending order, the distances four rows at a time through
 /// [`ops::sqdist4`] (bitwise [`ops::sqdist`]) — the k-means++ update,
-/// which costs one full assignment pass per restart.
-pub(crate) fn for_each_sqdist(data: &Matrix, c: &[f64], mut f: impl FnMut(usize, f64)) {
+/// which costs one full assignment pass per restart, here and in the
+/// federated clients' D² seeding. `c` must be as wide as `data`.
+pub fn for_each_sqdist(data: &Matrix, c: &[f64], mut f: impl FnMut(usize, f64)) {
     let n = data.nrows();
     let mut i = 0;
     while i + 4 <= n {

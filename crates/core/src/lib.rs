@@ -59,7 +59,7 @@ pub mod operator;
 pub mod stats;
 
 pub use aggregator::Aggregator;
-pub use assign::{AssignEngine, CcBounds, PruneStats};
+pub use assign::{AssignEngine, PruneStats};
 pub use baselines::{NnkMeans, NnkMeansModel, RkMeans, RkMeansModel};
 pub use kmeans::{KMeans, KMeansModel};
 pub use kr_kmeans::{KrKMeans, KrKMeansModel};

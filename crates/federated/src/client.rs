@@ -18,6 +18,7 @@
 
 use crate::protocol::{compute_local_stats, Join, Msg};
 use crate::transport::Connection;
+use kr_core::kmeans::for_each_sqdist;
 use kr_core::{CoreError, Result};
 use kr_linalg::{ops, ExecCtx, Matrix};
 
@@ -81,15 +82,23 @@ impl<'a> ShardClient<'a> {
                 }))
             }
             Msg::SeedInit { row } => {
-                self.d2 = self.data.rows_iter().map(|x| ops::sqdist(x, row)).collect();
+                self.check_width("seed", row.len())?;
+                self.d2.clear();
+                self.d2.resize(self.data.nrows(), 0.0);
+                let d2 = &mut self.d2;
+                for_each_sqdist(self.data, row, |i, d| d2[i] = d);
                 Ok(Step::Reply(Msg::SeedMass { mass: self.mass() }))
             }
             Msg::SeedUpdate { row } => {
-                for (x, d) in self.data.rows_iter().zip(self.d2.iter_mut()) {
-                    let nd = ops::sqdist(x, row);
-                    if nd < *d {
-                        *d = nd;
-                    }
+                self.check_width("seed", row.len())?;
+                // Before any SeedInit there is no D² state to lower.
+                if !self.d2.is_empty() {
+                    let d2 = &mut self.d2;
+                    for_each_sqdist(self.data, row, |i, d| {
+                        if d < d2[i] {
+                            d2[i] = d;
+                        }
+                    });
                 }
                 Ok(Step::Reply(Msg::SeedMass { mass: self.mass() }))
             }
@@ -121,13 +130,13 @@ impl<'a> ShardClient<'a> {
                     count: self.data.nrows() as u64,
                 }))
             }
-            Msg::Broadcast(b) => Ok(Step::Reply(self.answer_broadcast(b))),
+            Msg::Broadcast(b) => Ok(Step::Reply(self.answer_broadcast(b)?)),
             Msg::RoundAck(a) => Ok(if a.done {
                 Step::Done
             } else if let Some(b) = &a.next {
                 // Pipelined round: the ack carries the next broadcast;
                 // answer it exactly like a standalone one.
-                Step::Reply(self.answer_broadcast(b))
+                Step::Reply(self.answer_broadcast(b)?)
             } else {
                 Step::Continue
             }),
@@ -162,12 +171,25 @@ impl<'a> ShardClient<'a> {
     /// A mask-carrying broadcast is answered with [`Msg::MaskedStats`]:
     /// the same statistics, serialized to words and pairwise-masked
     /// under the broadcast's [`MaskSpec`](crate::protocol::MaskSpec).
-    fn answer_broadcast(&self, b: &crate::protocol::Broadcast) -> Msg {
+    fn answer_broadcast(&self, b: &crate::protocol::Broadcast) -> Result<Msg> {
         let centroids = b.summary.materialize();
+        self.check_width("broadcast centroid", centroids.ncols())?;
         let stats = compute_local_stats(self.data, &centroids, b.round, &self.exec);
-        match &b.mask {
+        Ok(match &b.mask {
             None => Msg::LocalStats(stats),
             Some(spec) => Msg::MaskedStats(crate::mask::mask_stats(&stats, spec, self.id)),
+        })
+    }
+
+    /// A server-sent row of `len` features must match the shard's width.
+    fn check_width(&self, what: &str, len: usize) -> Result<()> {
+        if len == self.data.ncols() {
+            Ok(())
+        } else {
+            Err(CoreError::Transport(format!(
+                "{what} row has {len} features, the shard has {}",
+                self.data.ncols()
+            )))
         }
     }
 
@@ -331,5 +353,34 @@ mod tests {
         let data = shard();
         let mut c = ShardClient::new(2, &data, ExecCtx::serial());
         assert!(c.handle(&Msg::SeedMass { mass: 1.0 }).is_err());
+    }
+
+    #[test]
+    fn rejects_rows_of_the_wrong_width() {
+        let data = shard();
+        let mut c = ShardClient::new(3, &data, ExecCtx::serial());
+        for row in [vec![0.0], vec![0.0, 0.0, 0.0]] {
+            let init = c.handle(&Msg::SeedInit { row: row.clone() });
+            assert!(matches!(init, Err(CoreError::Transport(_))));
+            let update = c.handle(&Msg::SeedUpdate { row: row.clone() });
+            assert!(matches!(update, Err(CoreError::Transport(_))));
+            let broadcast = c.handle(&Msg::Broadcast(Broadcast {
+                round: 0,
+                eval_only: false,
+                mask: None,
+                summary: Summary::Centroids(Matrix::from_rows(&[row]).unwrap()),
+            }));
+            assert!(matches!(broadcast, Err(CoreError::Transport(_))));
+        }
+        // An update before any SeedInit has no D² state to lower.
+        let Step::Reply(Msg::SeedMass { mass }) = c
+            .handle(&Msg::SeedUpdate {
+                row: vec![0.0, 0.0],
+            })
+            .unwrap()
+        else {
+            panic!("expected mass");
+        };
+        assert_eq!(mass, 0.0);
     }
 }

@@ -81,7 +81,7 @@ pub use transport::FailureKind;
 
 use kr_core::aggregator::Aggregator;
 use kr_core::Result;
-use kr_linalg::{ops, parallel, ExecCtx, Matrix};
+use kr_linalg::{parallel, ExecCtx, Matrix};
 
 /// Bytes per f64 on the wire (plain little-endian framing).
 pub const BYTES_PER_F64: usize = 8;
@@ -240,11 +240,7 @@ pub fn global_inertia_with(clients: &[Client], centroids: &Matrix, exec: &ExecCt
                 || 0.0f64,
                 |acc, start, end| {
                     for i in start..end {
-                        let x = c.data.row(i);
-                        *acc += centroids
-                            .rows_iter()
-                            .map(|cr| ops::sqdist(x, cr))
-                            .fold(f64::INFINITY, f64::min);
+                        *acc += protocol::nearest_centroid(c.data.row(i), centroids).1;
                     }
                 },
             );

@@ -350,6 +350,9 @@ impl ServerState {
 /// per-cluster sums/counts accumulated serially in point order, and the
 /// shard's partial inertia (the sum of best squared distances, also in
 /// point order).
+///
+/// # Panics
+/// When `data` and `centroids` differ in width.
 pub fn compute_local_stats(
     data: &Matrix,
     centroids: &Matrix,
@@ -358,21 +361,12 @@ pub fn compute_local_stats(
 ) -> LocalStats {
     let k = centroids.nrows();
     let m = centroids.ncols();
+    assert_eq!(data.ncols(), m, "feature dimension mismatch");
     let mut stats = SuffStats::zeros(k, m);
     let mut best: Vec<(usize, f64)> = vec![(0, 0.0); data.nrows()];
     parallel::map_chunks_into(exec, &mut best, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
-            let x = data.row(start + off);
-            let mut best_c = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, crow) in centroids.rows_iter().enumerate() {
-                let d = ops::sqdist(x, crow);
-                if d < best_d {
-                    best_d = d;
-                    best_c = c;
-                }
-            }
-            *slot = (best_c, best_d);
+            *slot = nearest_centroid(data.row(start + off), centroids);
         }
     });
     let mut inertia = 0.0f64;
@@ -386,6 +380,32 @@ pub fn compute_local_stats(
         stats,
         inertia,
     }
+}
+
+/// The row of `centroids` nearest to `x` and its squared distance: the
+/// strict-`<` ascending argmin (ties go to the lowest index), with the
+/// distances four centroids at a time through [`ops::sqdist4`] (bitwise
+/// [`ops::sqdist`]). `(0, ∞)` when there are no centroids.
+pub(crate) fn nearest_centroid(x: &[f64], centroids: &Matrix) -> (usize, f64) {
+    let k = centroids.nrows();
+    let mut best = (0usize, f64::INFINITY);
+    let mut c = 0;
+    while c + 4 <= k {
+        let cs = [0, 1, 2, 3].map(|q| centroids.row(c + q));
+        for (q, d) in ops::sqdist4([x; 4], cs).into_iter().enumerate() {
+            if d < best.1 {
+                best = (c + q, d);
+            }
+        }
+        c += 4;
+    }
+    for c in c..k {
+        let d = ops::sqdist(x, centroids.row(c));
+        if d < best.1 {
+            best = (c, d);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -430,6 +450,63 @@ mod tests {
             let got = compute_local_stats(&ds.data, &centroids, 0, &ExecCtx::threaded(threads));
             assert_eq!(got.stats, reference.stats, "threads={threads}");
             assert_eq!(got.inertia.to_bits(), reference.inertia.to_bits());
+        }
+    }
+
+    /// Blocked scans keep the per-pair scan's bits: labels, sums, counts
+    /// and inertia equal a test-local one-`ops::sqdist`-per-pair
+    /// strict-`<` scan at k = 7 (not a multiple of 4), with duplicated
+    /// centroids (ties go to the lowest index), at 1/2/8 pool workers.
+    #[test]
+    fn local_stats_are_bitwise_the_per_pair_scan() {
+        use kr_linalg::ThreadPool;
+        use std::sync::Arc;
+        let ds = kr_datasets::synthetic::blobs(203, 5, 4, 0.6, 17);
+        let data = &ds.data;
+        // Row 3 repeats row 1 (a tie inside a block of four), row 5
+        // repeats row 2 (a tie across into the remainder); rows 1, 2 and
+        // 4 sit on data points.
+        let centroids = Matrix::from_fn(7, 5, |i, j| match i {
+            0 => j as f64 * 0.25,
+            1 | 3 => data.get(3, j),
+            2 | 5 => data.get(50, j),
+            4 => data.get(120, j),
+            _ => -1.0 - j as f64,
+        });
+        let mut want = SuffStats::zeros(7, 5);
+        let mut inertia = 0.0f64;
+        let mut labels = Vec::new();
+        for x in data.rows_iter() {
+            let (mut best_c, mut best_d) = (0usize, f64::INFINITY);
+            for (c, crow) in centroids.rows_iter().enumerate() {
+                let d = ops::sqdist(x, crow);
+                if d < best_d {
+                    best_d = d;
+                    best_c = c;
+                }
+            }
+            let got = nearest_centroid(x, &centroids);
+            assert_eq!((got.0, got.1.to_bits()), (best_c, best_d.to_bits()));
+            labels.push(best_c);
+            ops::add_assign(want.sums.row_mut(best_c), x);
+            want.counts[best_c] += 1;
+            inertia += best_d;
+        }
+        assert!(labels.contains(&1) && labels.contains(&2), "ties exercised");
+        assert!(!labels.contains(&3) && !labels.contains(&5));
+        for workers in [1usize, 2, 8] {
+            let pool = Arc::new(ThreadPool::new(workers));
+            let exec = ExecCtx::threaded(workers + 1).with_pool(pool);
+            let got = compute_local_stats(data, &centroids, 4, &exec);
+            assert_eq!(got.round, 4);
+            assert_eq!(got.stats.counts, want.counts, "workers={workers}");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.stats.sums), bits(&want.sums), "workers={workers}");
+            assert_eq!(
+                got.inertia.to_bits(),
+                inertia.to_bits(),
+                "workers={workers}"
+            );
         }
     }
 

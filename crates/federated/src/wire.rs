@@ -47,6 +47,11 @@ pub const MAX_FRAME_LEN: usize = 1 << 30;
 /// Size of the `u32` length prefix.
 pub const LEN_PREFIX: usize = 4;
 
+/// Most payload bytes [`read_frame`] reserves before they arrive; past
+/// this the buffer grows with the bytes received, so a length prefix
+/// alone cannot make the reader allocate up to [`MAX_FRAME_LEN`].
+const READ_RESERVE: usize = 64 * 1024;
+
 /// Framing / decoding errors. All decode paths return errors instead of
 /// panicking, so a corrupt or truncated peer cannot crash the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -580,7 +585,10 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
 }
 
 /// Reads one full frame (length prefix included) from a stream. A clean
-/// EOF at a frame boundary returns [`WireError::Closed`].
+/// EOF at a frame boundary returns [`WireError::Closed`]. The buffer
+/// grows as the payload arrives (at most `READ_RESERVE` bytes ahead of
+/// it), so memory follows the bytes a peer sends, not the length it
+/// claims.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut prefix = [0u8; LEN_PREFIX];
     let mut filled = 0usize;
@@ -603,17 +611,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(len));
     }
-    let mut frame = vec![0u8; LEN_PREFIX + len];
-    frame[..LEN_PREFIX].copy_from_slice(&prefix);
-    r.read_exact(&mut frame[LEN_PREFIX..]).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else if is_timeout(&e) {
+    let mut frame = Vec::with_capacity(LEN_PREFIX + len.min(READ_RESERVE));
+    frame.extend_from_slice(&prefix);
+    r.take(len as u64).read_to_end(&mut frame).map_err(|e| {
+        if is_timeout(&e) {
             WireError::Timeout
         } else {
             WireError::Io(e.to_string())
         }
     })?;
+    if frame.len() != LEN_PREFIX + len {
+        return Err(WireError::Truncated);
+    }
     Ok(frame)
 }
 
@@ -709,6 +718,61 @@ mod tests {
         // Mask parameters are framing overhead, not summary statistics.
         assert_eq!(info.stat_bytes, 2 * 2 * 8);
         assert_eq!(decode_frame(&frame).unwrap(), msg);
+    }
+
+    /// A peer sending `bytes`, then EOF, that records the largest buffer
+    /// a read hands it.
+    struct Peer {
+        bytes: Vec<u8>,
+        pos: usize,
+        max_buf: usize,
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.max_buf = self.max_buf.max(buf.len());
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_allocates_as_bytes_arrive() {
+        // Claims the largest legal payload, then sends 16 bytes.
+        let mut bytes = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 16]);
+        let mut liar = Peer {
+            bytes,
+            pos: 0,
+            max_buf: 0,
+        };
+        assert_eq!(read_frame(&mut liar), Err(WireError::Truncated));
+        assert!(
+            liar.max_buf <= READ_RESERVE,
+            "handed {} bytes",
+            liar.max_buf
+        );
+        // Honest frames, one past the up-front reservation, read back
+        // whole, then a clean close.
+        let small = encode(&Msg::MeanQuery).0;
+        let big = encode(&Msg::Broadcast(Broadcast {
+            round: 1,
+            eval_only: false,
+            mask: None,
+            summary: Summary::Centroids(Matrix::from_fn(200, 100, |i, j| (i * j) as f64)),
+        }))
+        .0;
+        assert!(big.len() > 2 * READ_RESERVE);
+        let mut honest = Peer {
+            bytes: [small.clone(), big.clone()].concat(),
+            pos: 0,
+            max_buf: 0,
+        };
+        assert_eq!(read_frame(&mut honest).unwrap(), small);
+        assert_eq!(read_frame(&mut honest).unwrap(), big);
+        assert_eq!(read_frame(&mut honest), Err(WireError::Closed));
     }
 
     #[test]

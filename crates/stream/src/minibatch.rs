@@ -21,6 +21,14 @@
 //! gone); their statistics stay frozen under the labels they got when
 //! they streamed past — the standard mini-batch staleness trade-off.
 //!
+//! Each batch is assigned by one stateless scan,
+//! [`kr_core::assign::scan_grid`]: with the sum aggregator and pruning
+//! on, a point costs its `Σ h_l` protocentroid dots plus the few grid
+//! rows the factored filter cannot rule out, instead of `∏ h_l` grid
+//! dots. No bound state is kept between batches, and the labels and
+//! distances are bitwise those of the exhaustive scan in every
+//! [`kr_linalg::PruneMode`] and at any worker count.
+//!
 //! Memory: `O((Σ h_l + ∏ h_l) · m)` — protocentroids plus the
 //! sufficient-statistics block — independent of the stream length.
 //!
@@ -45,20 +53,13 @@ use kr_core::aggregator::Aggregator;
 /// [`MiniBatchKrModel::last_batch_inertia`]), so the summarizer's state
 /// stays bounded no matter how many batches the stream delivers.
 const TELEMETRY_CAP: usize = 1024;
-use kr_core::assign::{CcBounds, PruneStats};
-use kr_core::kmeans::nearest_assignments_with;
+use kr_core::assign::{scan_grid, PruneStats};
 use kr_core::kr_kmeans::{prop61_update_from_stats, KrKMeans};
 use kr_core::operator::khatri_rao;
 use kr_core::stats::SuffStats;
 use kr_core::{CoreError, Result};
 use kr_datasets::weighted::WeightedDataset;
-use kr_linalg::{ExecCtx, Matrix, PruneMode};
-
-/// Largest materialized centroid count for which the streaming path
-/// keeps a persistent `k x k` center–center bound matrix. Beyond this
-/// the quadratic bound state would dwarf the summary itself, so the
-/// batch assignment falls back to the exhaustive scan.
-const CC_BOUNDS_MAX_K: usize = 512;
+use kr_linalg::{ExecCtx, Matrix};
 
 /// Streaming mini-batch KR-k-Means runner (builder style).
 ///
@@ -86,12 +87,9 @@ struct MbState {
     n_observed: usize,
     batch_inertia: Vec<f64>,
     last_batch_inertia: f64,
-    /// Persistent center–center lower bounds surviving across batches
-    /// (`None` when pruning is off or `k` exceeds [`CC_BOUNDS_MAX_K`]).
-    /// Each batch measures the centroid drift since the previous one and
-    /// decays the bounds by it, so stale bounds can never mis-assign —
-    /// the assignment stays bitwise identical to the exhaustive scan.
-    pruner: Option<CcBounds>,
+    /// Assignment counters summed over every batch (see
+    /// [`MiniBatchKrKMeans::prune_stats`]).
+    assign_stats: PruneStats,
 }
 
 /// The model a finished [`MiniBatchKrKMeans`] stream produces.
@@ -174,7 +172,8 @@ impl MiniBatchKrKMeans {
         self.with_exec(exec)
     }
 
-    /// Sets the execution context used by the per-batch assignment step.
+    /// Sets the execution context used by the per-batch assignment step
+    /// (its prune mode picks the scan, its arena lends the buffers).
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
         self.exec = exec;
         self
@@ -203,39 +202,30 @@ impl MiniBatchKrKMeans {
             .with_exec(self.exec.clone())
             .fit(batch)?;
         let k: usize = self.hs.iter().product();
-        let pruner = if self.exec.prune_mode() != PruneMode::Off && k <= CC_BOUNDS_MAX_K {
-            Some(CcBounds::default())
-        } else {
-            None
-        };
         Ok(MbState {
             sets: fit.protocentroids,
             acc: SuffStats::zeros(k, batch.ncols()),
             n_observed: 0,
             batch_inertia: Vec::new(),
             last_batch_inertia: f64::NAN,
-            pruner,
+            assign_stats: PruneStats::default(),
         })
     }
 
-    /// Distance-evaluation pruning counters accumulated by the
-    /// persistent cross-batch bounds so far (zeros when pruning is off).
+    /// Assignment counters of every batch so far: the dot products the
+    /// batch scans computed and the grid rows the factored filter
+    /// rejected (see [`PruneStats`] for the counting rule).
     pub fn prune_stats(&self) -> PruneStats {
         self.state
             .as_ref()
-            .and_then(|s| s.pruner.as_ref())
-            .map_or_else(PruneStats::default, |p| p.stats())
+            .map_or_else(PruneStats::default, |s| s.assign_stats)
     }
 
-    /// How many times the persistent center–center bound matrix was
-    /// rebuilt from exact distances (including the initial build) —
-    /// measured drift past the decay budget forces a rebuild, the
-    /// invalidation path the streaming regression test pins.
+    /// Always 0: each batch is assigned by a stateless scan, so there is
+    /// no bound state carried across batches that could need a rebuild.
+    /// Kept for callers that report it.
     pub fn prune_rebuilds(&self) -> u64 {
-        self.state
-            .as_ref()
-            .and_then(|s| s.pruner.as_ref())
-            .map_or(0, |p| p.rebuilds())
+        0
     }
 }
 
@@ -263,22 +253,27 @@ impl StreamSummarizer for MiniBatchKrKMeans {
             )));
         }
         let centroids = khatri_rao(&state.sets, self.aggregator).expect("validated sets");
-        let (labels, dmin) = match state.pruner.as_mut() {
-            Some(pruner) => {
-                // Bounds persist from the previous batch; sync measures
-                // the centroid drift since then and decays (or rebuilds)
-                // them before they gate this batch's scan.
-                pruner.sync(&centroids);
-                pruner.assign(batch, &centroids, &self.exec)
-            }
-            None => nearest_assignments_with(batch, &centroids, &self.exec),
-        };
+        let scratch = self.exec.scratch();
+        let mut labels = scratch.take_usize(batch.nrows());
+        let mut dmin = scratch.take_f64_uninit(batch.nrows());
+        let stats = scan_grid(
+            batch,
+            &centroids,
+            &state.sets,
+            self.aggregator,
+            &mut labels,
+            &mut dmin,
+            &self.exec,
+        );
+        state.assign_stats.merge(stats);
         state.last_batch_inertia = dmin.iter().sum();
+        scratch.put_f64(dmin);
         kr_obs::gauge!("stream.batch_inertia", state.last_batch_inertia);
         if state.batch_inertia.len() < TELEMETRY_CAP {
             state.batch_inertia.push(state.last_batch_inertia);
         }
         state.acc.observe_batch(batch, &labels)?;
+        scratch.put_usize(labels);
         state.n_observed += batch.nrows();
         // Closed-form recomputation from cumulative statistics: clusters
         // whose combinations hold no mass keep their protocentroids (the
@@ -413,17 +408,22 @@ mod tests {
     }
 
     #[test]
-    fn persistent_bounds_match_exhaustive_and_invalidate_on_drift() {
-        // Regression test for the cross-batch bound path: a stream whose
-        // batches come from *shifting* distributions drags the centroids
-        // along (Prop 6.1 updates follow the data), which must (a) never
-        // change a single output bit vs. the pruning-off path and
-        // (b) eventually blow the decay budget and force bound rebuilds.
-        let run = |mode: PruneMode| {
-            let mut mb = MiniBatchKrKMeans::new(vec![2, 2])
+    fn exec_determinism_stream_prune_modes_match_off() {
+        // A stream whose batches come from *shifting* distributions drags
+        // the centroids along (Prop 6.1 updates follow the data). Every
+        // prune mode at 1/2/8 workers must match the pruning-off serial
+        // run bit for bit. On the (3,3) Sum grid (Σh = 6 < k = 9) the
+        // batch scans run the factored filter, which must reject rows;
+        // the filter does not apply to a Product grid, which takes the
+        // blocked scan.
+        use kr_linalg::{PruneMode, ThreadPool};
+        use std::sync::Arc;
+        let run = |agg: Aggregator, exec: ExecCtx| {
+            let mut mb = MiniBatchKrKMeans::new(vec![3, 3])
+                .with_aggregator(agg)
                 .with_seed(9)
                 .with_init_restarts(2)
-                .with_exec(ExecCtx::serial().with_prune_mode(mode));
+                .with_exec(exec);
             for step in 0..12 {
                 // Gradual mean drift: each batch sits 0.8 further out.
                 let shift = step as f64 * 0.8;
@@ -431,27 +431,40 @@ mod tests {
                     Matrix::from_fn(24, 2, |i, j| ((i * 3 + j * 5) % 11) as f64 * 0.5 + shift);
                 mb.observe(&batch).unwrap();
             }
-            let rebuilds = mb.prune_rebuilds();
+            assert_eq!(mb.prune_rebuilds(), 0);
             let stats = mb.prune_stats();
-            (mb.finalize().unwrap(), rebuilds, stats)
+            (mb.finalize().unwrap(), stats)
         };
-        let (reference, ref_rebuilds, ref_stats) = run(PruneMode::Off);
-        assert_eq!(ref_rebuilds, 0, "pruning off must not build bounds");
-        assert_eq!(ref_stats, PruneStats::default());
-        let (pruned, rebuilds, stats) = run(PruneMode::Auto);
-        assert_eq!(pruned.protocentroids, reference.protocentroids);
-        for (a, b) in pruned.batch_inertia.iter().zip(&reference.batch_inertia) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for agg in [Aggregator::Sum, Aggregator::Product] {
+            let off = ExecCtx::serial().with_prune_mode(PruneMode::Off);
+            let (reference, ref_stats) = run(agg, off);
+            assert_eq!(ref_stats.dists_computed, 12 * 24 * 9, "{agg:?}");
+            assert_eq!(ref_stats.dists_skipped, 0, "{agg:?}");
+            for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
+                for workers in [1usize, 2, 8] {
+                    let pool = Arc::new(ThreadPool::new(workers));
+                    let exec = ExecCtx::threaded(workers + 1)
+                        .with_pool(pool)
+                        .with_prune_mode(mode);
+                    let (model, stats) = run(agg, exec);
+                    let at = format!("{agg:?} {mode:?} workers={workers}");
+                    assert_eq!(model.protocentroids, reference.protocentroids, "{at}");
+                    assert_eq!(model.batch_inertia.len(), 12, "{at}");
+                    for (a, b) in model.batch_inertia.iter().zip(&reference.batch_inertia) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                    }
+                    assert_eq!(
+                        model.last_batch_inertia.to_bits(),
+                        reference.last_batch_inertia.to_bits(),
+                        "{at}"
+                    );
+                    match agg {
+                        Aggregator::Sum => assert!(stats.dists_skipped > 0, "{at}"),
+                        Aggregator::Product => assert_eq!(stats, ref_stats, "{at}"),
+                    }
+                }
+            }
         }
-        assert_eq!(
-            pruned.last_batch_inertia.to_bits(),
-            reference.last_batch_inertia.to_bits()
-        );
-        // Drift measured against the snapshots exceeded the decay budget
-        // at least once past the initial build.
-        assert!(rebuilds >= 2, "rebuilds {rebuilds}");
-        assert!(stats.dists_computed > 0);
-        assert!(stats.bound_updates > 0);
     }
 
     #[test]
